@@ -2,11 +2,15 @@
 
 .PHONY: build test race vet verify verifier bench benchfull serve soak chaos loadtest httpd router
 
+# benchmark/ is its own module (root ./... does not reach it) and imports
+# this one's exported API, so build and test cover it explicitly.
 build:
 	go build ./...
+	cd benchmark && go build -o /dev/null ./...
 
 test:
 	go test ./...
+	cd benchmark && go build -o /dev/null ./... && go test ./...
 
 vet:
 	go vet ./...
@@ -24,10 +28,10 @@ verifier:
 	go run ./cmd/hfiverify
 	go run ./cmd/hfiverify -mutate -full
 
-# Interpreter + provisioning performance snapshot; writes BENCH_PR3.json
-# and fails if the hot loop allocates.
+# The repository benchmark (BENCHMARK.json): every workload, end-to-end and
+# per-layer metrics; see benchmark/README.md.
 bench:
-	sh scripts/bench.sh
+	bash benchmark/run.sh
 
 # Every benchmark in the tree, unfiltered.
 benchfull:

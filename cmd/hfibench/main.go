@@ -8,8 +8,7 @@
 //	hfibench -table 1          # Table 1
 //	hfibench -exp heapgrowth   # §-experiments: heapgrowth, regpressure,
 //	                           # teardown, scaling, syscalls, font, micro,
-//	                           # hostcall, facts, ablate-switch,
-//	                           # ablate-schemes
+//	                           # hostcall, ablate-switch, ablate-schemes
 //	hfibench -quick            # reduced scales for a fast smoke pass
 //	hfibench -all -json        # machine-readable: JSON array of tables
 package main
@@ -29,7 +28,7 @@ func main() {
 		all     = flag.Bool("all", false, "run every experiment")
 		fig     = flag.Int("fig", 0, "figure number to reproduce (2,3,4,5,7)")
 		table   = flag.Int("table", 0, "table number to reproduce (1)")
-		exp     = flag.String("exp", "", "named experiment (heapgrowth, regpressure, teardown, scaling, syscalls, font, multimem, micro, hostcall, facts, ablate-switch, ablate-schemes)")
+		exp     = flag.String("exp", "", "named experiment (heapgrowth, regpressure, teardown, scaling, syscalls, font, multimem, micro, hostcall, ablate-switch, ablate-schemes)")
 		quick   = flag.Bool("quick", false, "reduced scales")
 		jsonOut = flag.Bool("json", false, "emit results as a JSON array of tables instead of text")
 	)
@@ -126,14 +125,6 @@ func main() {
 			hcReqs = 500
 		}
 		_, tb, err := experiments.RunHostcallRoundTrip(hcReqs)
-		show(tb, err)
-	}
-	if runExp("facts") {
-		minInstrs := uint64(20_000_000)
-		if *quick {
-			minInstrs = 2_000_000
-		}
-		_, tb, err := experiments.RunFactsElision(minInstrs)
 		show(tb, err)
 	}
 	if runExp("tier") {

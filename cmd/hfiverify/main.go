@@ -178,8 +178,8 @@ func factsOne(e entry, scheme sfi.Scheme, verbose bool) bool {
 	if s.HeapOps > 0 {
 		cov = 100 * float64(f.Covered) / float64(f.HeapOps)
 	}
-	fmt.Printf("  ok   %-18s %-12v %5d instrs  mem %3d  res %3d  dom %3d  hfi %3d  hc %2d  heap-cov %3.0f%%  %8v\n",
-		e.name, scheme, len(inst.C.Prog.Instrs), s.MemOps, s.Resident, s.Dominated, s.HfiHeap, s.HostcallSites, cov, elapsed.Round(time.Microsecond))
+	fmt.Printf("  ok   %-18s %-12v %5d instrs  mem %3d  res %3d  hfi %3d  hc %2d  heap-cov %3.0f%%  %8v\n",
+		e.name, scheme, len(inst.C.Prog.Instrs), s.MemOps, s.Resident, s.HfiHeap, s.HostcallSites, cov, elapsed.Round(time.Microsecond))
 	return true
 }
 

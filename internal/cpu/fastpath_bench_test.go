@@ -9,8 +9,7 @@ import (
 // The interpreter throughput benchmarks run the load/store-heavy kernel the
 // fast-path work is tuned against: a fill loop (mul, store, add, branch)
 // followed by a sum loop (load, add, add, branch), all inside one code page
-// and one data page. scripts/bench.sh records these numbers in
-// BENCH_PR3.json; the 0 allocs/op requirement is enforced separately by
+// and one data page. The 0 allocs/op requirement is enforced separately by
 // TestInterpHotLoopZeroAllocs so `make verify` catches regressions without
 // running benchmarks.
 

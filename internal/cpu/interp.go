@@ -73,23 +73,9 @@ type Interp struct {
 	// (the differential tests assert this); the flag exists so they can.
 	NoFastPath bool
 
-	// TrustFacts enables the verifier-fact elision path (facts.go): the
-	// dynamic page-decision lookup is skipped for accesses carrying a
-	// runtime-re-validated proof, while the cost model is billed
-	// identically. Default on (NewInterp); orthogonal to NoFastPath so
-	// the differential tests can cross the two.
-	TrustFacts bool
-
-	// domSafe, per run, admits dominated-check elision: set at Run entry
-	// when the machine enters facts-carrying code at its proof root, and
-	// cleared for the rest of the run once any fault is resumed (the
-	// handler may transfer control past the dominating check).
-	domSafe bool
-
 	// segment marks a SegmentRun in progress: the run is one slice of a
-	// larger logical run driven by the tiered engine. Dominated-check
-	// elision is off (segments start mid-program, past the proof root) and
-	// the StopLimit return does NOT fold cycles into the kernel clock —
+	// larger logical run driven by the tiered engine, so the StopLimit
+	// return does NOT fold cycles into the kernel clock —
 	// Clock.AdvanceCycles truncates per call, so extra fold points at
 	// segment seams would drift the ns timeline away from a monolithic
 	// run. Deferring keeps the AdvanceCycles call sequence — and therefore
@@ -110,7 +96,7 @@ type Interp struct {
 // NewInterp returns an interpreter over m with the default cost model and
 // caches enabled.
 func NewInterp(m *Machine) *Interp {
-	return &Interp{M: m, Cost: DefaultCostModel(), UseCaches: true, TrustFacts: true}
+	return &Interp{M: m, Cost: DefaultCostModel(), UseCaches: true}
 }
 
 // Table expands the model into the per-opcode dispatch charge. Opcodes
@@ -200,14 +186,6 @@ func (ip *Interp) Run(maxInstrs uint64) RunResult {
 	}
 	if maxInstrs == 0 {
 		maxInstrs = ^uint64(0) // unlimited; one compare in the loop header
-	}
-	if ip.segment {
-		// A segment never starts a dominator-rooted run of its own;
-		// declining the elision is always architecturally sound (the full
-		// checks run instead, billed identically).
-		ip.domSafe = false
-	} else {
-		ip.domSafe = ip.TrustFacts && m.factRunEntrySafe(m.PC)
 	}
 	for n := uint64(0); n < maxInstrs; n++ {
 		pc := m.PC
@@ -354,24 +332,6 @@ func (ip *Interp) Run(maxInstrs uint64) RunResult {
 				if m.HFI.Enabled {
 					m.HFI.ChecksData++
 				}
-			} else if ip.TrustFacts && m.factElidePlain(pc, addr, in.Size, ip.domSafe) {
-				// Elision path: a verifier fact, re-validated against the
-				// live machine, proves this access passes both checks.
-				// Counters and cost stay identical to the other paths.
-				if m.HFI.Enabled {
-					m.HFI.ChecksData++
-				}
-				m.FactElisions++
-				// Refill the DTC so page-local successors take the 1-entry
-				// cache hit instead of re-walking the fact gate. Without
-				// this the elide path starves the DTC: the gate — cheap,
-				// but dearer than a cache hit on schemes whose dynamic
-				// check is itself a single hit — became the steady-state
-				// cost of every fact-covered access (the 0.85× guardpages
-				// regression in BENCH_PR7).
-				if !ip.NoFastPath {
-					m.dtcFill(addr)
-				}
 			} else {
 				if f := m.HFI.CheckData(addr, in.Size, write); f != nil {
 					if res, ok := ip.fault(pc, addr, f, false); !ok {
@@ -408,13 +368,7 @@ func (ip *Interp) Run(maxInstrs uint64) RunResult {
 				}
 				continue
 			}
-			if ip.TrustFacts && m.factElideHfi(pc, int(in.HReg)) {
-				// ExplicitEA (the fault source) has already bounds-checked
-				// the address into the region; the fact gate re-validated
-				// the region's span against the page table, so the MMU
-				// lookup is redundant.
-				m.FactElisions++
-			} else if !m.checkMMU(addr, in.Size, write) {
+			if !m.checkMMU(addr, in.Size, write) {
 				if res, ok := ip.fault(pc, addr, nil, true); !ok {
 					return res
 				}
@@ -625,10 +579,6 @@ func (ip *Interp) fault(pc, addr uint64, f *hfi.Fault, pageFault bool) (RunResul
 	if resume == 0 {
 		return RunResult{Reason: StopFault, Fault: f, PageFault: pageFault, FaultAddr: addr, FaultPC: pc}, false
 	}
-	// The handler chose the resume point; control may now bypass a
-	// dominating check, so dominated-check elision is off for the rest of
-	// this run.
-	ip.domSafe = false
 	ip.M.PC = resume
 	return RunResult{}, true
 }

@@ -104,13 +104,15 @@ type Machine struct {
 	// reach a host that never offered it an interface.
 	HostcallFn func(regs *[isa.NumRegs]uint64)
 
-	// MemHook, when non-nil, observes every data access the interpreter
-	// performs architecturally — loads, stores, and the implicit stack
-	// push/pop of call and ret — after the HFI and MMU checks have
-	// passed. The mutation harness uses it as an escape oracle: a hook
-	// that sees an address outside the regions a sandbox owns has caught
-	// a containment failure. The pipelined Core does not call it;
-	// wrong-path accesses would make the stream ill-defined.
+	// MemHook, when non-nil, observes every data access performed
+	// architecturally — loads, stores, and the implicit stack push/pop of
+	// call and ret — after the checks guarding it have passed. Both the
+	// interpreter and the tiered engine's fused runner call it, at the
+	// same point and in the same program order, so the stream is
+	// engine-independent. The mutation harness uses it as an escape
+	// oracle: a hook that sees an address outside the regions a sandbox
+	// owns has caught a containment failure. The pipelined Core does not
+	// call it; wrong-path accesses would make the stream ill-defined.
 	MemHook func(pc, addr uint64, size uint8, write bool)
 
 	// Fetch code cache: the program containing the most recent fetch.
@@ -138,18 +140,9 @@ type Machine struct {
 	// carries just the HFI generation tag.
 	epc epcEntry
 
-	// facts holds verifier-proven elision facts per loaded program (see
-	// facts.go); fcBase/fcEnd/fcF mirror the entry for the program of the
-	// most recent lookup (fcF nil caches "no facts"), and fgate holds the
-	// lazily re-validated runtime view of the mirrored artifact.
-	facts map[*isa.Program]*ElisionFacts
-	fcBase uint64
-	fcEnd  uint64
-	fcF    *ElisionFacts
-	fgate  factGate
-
-	// FactElisions counts dynamic checks skipped on the strength of a
-	// fact (not part of the architectural state; benchmarks read it).
+	// FactElisions counts dynamic checks the tiered engine skipped on the
+	// strength of a verifier fact (not part of the architectural state;
+	// benchmarks read it).
 	FactElisions uint64
 
 	// resetSeq counts Reset calls. Reset is the context-switch point where
@@ -270,7 +263,6 @@ func (m *Machine) fetchAt(pc uint64) *isa.Instr {
 func (m *Machine) invalidateFetchCache() {
 	m.ccBase, m.ccLimit, m.ccInstrs = 0, 0, nil
 	m.lastProg = 0
-	m.resetFactMirror()
 }
 
 // FlushDTC invalidates the interpreter's decision caches (the data
@@ -280,7 +272,6 @@ func (m *Machine) invalidateFetchCache() {
 func (m *Machine) FlushDTC() {
 	m.dtc = dtcEntry{}
 	m.epc = epcEntry{}
-	m.resetFactMirror()
 }
 
 // epcHit reports whether the cached exec decision covers and permits a fetch

@@ -10,9 +10,8 @@ import "hfi/internal/hfi"
 // of each.
 
 // SegmentRun executes at most maxInstrs loop iterations exactly like Run,
-// as one slice of a larger logical run: dominated-check elision stays off
-// and the StopLimit return leaves accumulated cycles unfolded (the caller
-// owns the final SyncClock). Stops other than StopLimit fold the clock at
+// as one slice of a larger logical run: the StopLimit return leaves
+// accumulated cycles unfolded (the caller owns the final SyncClock). Stops other than StopLimit fold the clock at
 // the same architectural points a monolithic Run would, so interleaving
 // segments with fused blocks preserves the exact AdvanceCycles call
 // sequence. maxInstrs must be non-zero.
@@ -42,8 +41,7 @@ func (ip *Interp) SyncClock() { ip.syncClock() }
 // RaiseAt routes a fault through the interpreter's signal path — clock
 // fold, kernel signal delivery, optional resume — identically to a fault
 // raised from the dispatch loop. On resume (ok=true) the machine PC is the
-// handler-chosen resume point and dominated-check elision is off for the
-// rest of the run; otherwise the returned RunResult is final.
+// handler-chosen resume point; otherwise the returned RunResult is final.
 func (ip *Interp) RaiseAt(pc, addr uint64, f *hfi.Fault, pageFault bool) (RunResult, bool) {
 	return ip.fault(pc, addr, f, pageFault)
 }

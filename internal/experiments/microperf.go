@@ -18,7 +18,7 @@ import (
 // not simulated guest time. The paper's macro experiments need billions of
 // emulated instructions, so interpreter throughput bounds how much of the
 // evaluation is reproducible per CPU-hour; these are the numbers the
-// "Simulator performance" section of DESIGN.md and BENCH_PR3.json track.
+// "Simulator performance" section of DESIGN.md describes.
 type MicroPerf struct {
 	// Interpreter throughput over a load/store-heavy HFI guest.
 	FastInstrsPerSec float64 // fast paths on (the default)
@@ -92,7 +92,7 @@ func measureProvision(reps int) (coldNs, warmNs float64, err error) {
 
 // RunMicroPerf measures simulator throughput (interpreter fast paths on vs
 // off) and provisioning cost (cold vs shared-image warm), and renders them
-// as a table whose JSON form is what scripts/bench.sh records.
+// as a table (`hfibench -exp micro`).
 func RunMicroPerf(minInstrs uint64) (MicroPerf, *stats.Table, error) {
 	var mp MicroPerf
 	var err error

@@ -41,7 +41,7 @@ type TierPerfScheme struct {
 	AllocsPerOp float64
 }
 
-// TierPerf is the full experiment result (BENCH_PR8.json).
+// TierPerf is the full experiment result.
 type TierPerf struct {
 	Schemes []TierPerfScheme
 }

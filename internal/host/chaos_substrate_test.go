@@ -311,6 +311,11 @@ func TestChaosSoakSubstrate(t *testing.T) {
 			t.Fatalf("run %d: %d cross-span escapes under substrate chaos; first: %s",
 				i+1, run.escapes, run.first)
 		}
+		// The oracle must be watching the engine that serves production:
+		// fused blocks retire with the hook armed.
+		if run.ctr.TierInstrs == 0 {
+			t.Fatalf("run %d: no fused instructions retired with the escape oracle armed", i+1)
+		}
 	}
 
 	// Exact conservation with substrate faults folded into fault.

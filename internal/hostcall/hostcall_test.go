@@ -2,6 +2,7 @@ package hostcall
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"hfi/internal/cpu"
@@ -364,6 +365,52 @@ func TestKvQuota(t *testing.T) {
 	}
 }
 
+// TestKVConcurrentWorkers is the race gate for the world-shared store:
+// one serving process hands the same KV to every worker, so several
+// goroutines hit it at once — two sharing a tenant, two on their own.
+// Run under -race; the final accounting also pins that no update was lost.
+func TestKVConcurrentWorkers(t *testing.T) {
+	kv := NewKV(KVQuota{MaxEntries: 8, MaxBytes: 1 << 10})
+	const rounds = 500
+	tenants := []string{"shared", "shared", "solo-a", "solo-b"}
+	var wg sync.WaitGroup
+	for g, tenant := range tenants {
+		wg.Add(1)
+		go func(g int, tenant string) {
+			defer wg.Done()
+			key := []byte{'k', byte('0' + g)}
+			val := bytes.Repeat([]byte{byte(g)}, 16)
+			dst := make([]byte, 16)
+			for i := 0; i < rounds; i++ {
+				if errno := kv.Put(tenant, key, val); errno != 0 {
+					t.Errorf("%s put = errno %d", tenant, errno)
+					return
+				}
+				if n, errno := kv.Get(tenant, key, dst); errno != 0 || n != len(val) || !bytes.Equal(dst, val) {
+					t.Errorf("%s get = %d bytes %v, errno %d", tenant, n, dst, errno)
+					return
+				}
+				kv.Len(tenant)
+				kv.Bytes(tenant)
+				if i%2 == 0 {
+					if errno := kv.Delete(tenant, key); errno != 0 {
+						t.Errorf("%s delete = errno %d", tenant, errno)
+						return
+					}
+				}
+			}
+		}(g, tenant)
+	}
+	wg.Wait()
+	// Every goroutine's last round (odd) left its key in place: 2+16 bytes
+	// per key, two keys under the shared tenant.
+	for tenant, keys := range map[string]int{"shared": 2, "solo-a": 1, "solo-b": 1} {
+		if n, b := kv.Len(tenant), kv.Bytes(tenant); n != keys || b != uint64(keys*18) {
+			t.Errorf("%s: %d entries / %d bytes, want %d / %d", tenant, n, b, keys, keys*18)
+		}
+	}
+}
+
 func TestCountersAndCost(t *testing.T) {
 	_, e, m := testEnv(t, 1, "alice")
 	start := m.Kern.Clock.Now()
@@ -433,15 +480,17 @@ func TestFaultInjection(t *testing.T) {
 	}
 }
 
-// BenchmarkHostcallRoundTrip measures a full guest->host->guest round
-// trip through the interpreter: call into the verified gate, dispatch,
-// 1 KiB of seeded randomness marshalled back into linear memory, return.
-// The marshalling fast path must not allocate.
-func BenchmarkHostcallRoundTrip(b *testing.B) {
-	_, e, m := testEnv(b, 42, "bench")
+// roundTripHarness builds the hostcall round-trip fixture shared by the
+// benchmark and the allocation gate: a guest that calls into the verified
+// gate for 1 KiB of seeded randomness marshalled back into linear memory.
+// run executes one round trip; it has already run once, so the fetch and
+// decode caches are warm.
+func roundTripHarness(tb testing.TB) (run func(), e *Env, m *cpu.Machine) {
+	tb.Helper()
+	_, e, m = testEnv(tb, 42, "bench")
 	const stackBase, stackSize = uint64(0x20_0000), uint64(0x1_0000)
 	if err := m.AS.MapFixed(stackBase, stackSize, kernel.ProtRead|kernel.ProtWrite); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 
 	asm := isa.NewBuilder(0x1000)
@@ -456,22 +505,40 @@ func BenchmarkHostcallRoundTrip(b *testing.B) {
 	asm.Ret()
 	prog := asm.Build()
 	if err := m.LoadProgram(prog); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	entry := prog.Entry("__start")
 
 	ip := cpu.NewInterp(m)
-	run := func() {
+	run = func() {
 		m.Regs[isa.SP] = stackBase + stackSize
 		m.PC = entry
 		if res := ip.Run(100); res.Reason != cpu.StopHalt {
-			b.Fatalf("stop = %v", res.Reason)
+			tb.Fatalf("stop = %v", res.Reason)
 		}
 		if int64(m.Regs[isa.R0]) < 0 {
-			b.Fatalf("hostcall failed: %#x", m.Regs[isa.R0])
+			tb.Fatalf("hostcall failed: %#x", m.Regs[isa.R0])
 		}
 	}
-	run() // warm the fetch/decode caches outside the measured region
+	run()
+	return run, e, m
+}
+
+// TestHostcallRoundTripZeroAllocs is the allocation gate for the
+// marshalling fast path: a warm guest->host->guest round trip must not
+// allocate.
+func TestHostcallRoundTripZeroAllocs(t *testing.T) {
+	run, _, _ := roundTripHarness(t)
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Fatalf("hostcall round trip allocates %.1f allocs/run, want 0", allocs)
+	}
+}
+
+// BenchmarkHostcallRoundTrip measures a full guest->host->guest round
+// trip through the interpreter: call into the verified gate, dispatch,
+// 1 KiB of seeded randomness marshalled back into linear memory, return.
+func BenchmarkHostcallRoundTrip(b *testing.B) {
+	run, e, m := roundTripHarness(b)
 
 	b.ReportAllocs()
 	simStart := m.Kern.Clock.Now()

@@ -1,6 +1,10 @@
 package hostcall
 
-import "hfi/internal/kernel"
+import (
+	"sync"
+
+	"hfi/internal/kernel"
+)
 
 // KVQuota bounds one tenant's footprint in the shared store. Zero means
 // unlimited (tests); the serving layer always sets both.
@@ -22,8 +26,12 @@ type kvTenant struct {
 // KV is the world-shared key-value store. Keys are namespaced by tenant:
 // tenants share the store's machinery but can never observe — or evict —
 // each other's data. All mutations enforce the per-tenant quota and
-// report rejections so the serving layer can account them.
+// report rejections so the serving layer can account them. One World —
+// hence one KV — is shared by every worker of a serving process, so each
+// method is one critical section under mu: lookup, quota check and
+// accounting never interleave with another worker's.
 type KV struct {
+	mu      sync.Mutex
 	tenants map[string]*kvTenant
 	quota   KVQuota
 }
@@ -33,6 +41,7 @@ func NewKV(q KVQuota) *KV {
 	return &KV{tenants: make(map[string]*kvTenant), quota: q}
 }
 
+// tenant returns name's namespace, creating it on first use; kv.mu held.
 func (kv *KV) tenant(name string) *kvTenant {
 	t, ok := kv.tenants[name]
 	if !ok {
@@ -47,6 +56,8 @@ func (kv *KV) tenant(name string) *kvTenant {
 // capacity to detect a truncated read — or a kernel errno (>0) when the
 // key is absent.
 func (kv *KV) Get(tenant string, key, dst []byte) (int, uint64) {
+	kv.mu.Lock()
+	defer kv.mu.Unlock()
 	t, ok := kv.tenants[tenant]
 	if !ok {
 		return 0, kernel.ENOENT
@@ -62,6 +73,8 @@ func (kv *KV) Get(tenant string, key, dst []byte) (int, uint64) {
 // Put stores a copy of val under key, enforcing the tenant quota. A
 // kernel.EDQUOT return means the write was refused with no side effect.
 func (kv *KV) Put(tenant string, key, val []byte) uint64 {
+	kv.mu.Lock()
+	defer kv.mu.Unlock()
 	t := kv.tenant(tenant)
 	need := uint64(len(key) + len(val))
 	old, exists := t.entries[string(key)]
@@ -83,6 +96,8 @@ func (kv *KV) Put(tenant string, key, val []byte) uint64 {
 
 // Delete removes key, returning kernel.ENOENT when it was absent.
 func (kv *KV) Delete(tenant string, key []byte) uint64 {
+	kv.mu.Lock()
+	defer kv.mu.Unlock()
 	t, ok := kv.tenants[tenant]
 	if !ok {
 		return kernel.ENOENT
@@ -98,6 +113,8 @@ func (kv *KV) Delete(tenant string, key []byte) uint64 {
 
 // Len returns the tenant's live entry count (for tests and /statsz).
 func (kv *KV) Len(tenant string) int {
+	kv.mu.Lock()
+	defer kv.mu.Unlock()
 	if t, ok := kv.tenants[tenant]; ok {
 		return len(t.entries)
 	}
@@ -106,6 +123,8 @@ func (kv *KV) Len(tenant string) int {
 
 // Bytes returns the tenant's quota-charged byte footprint.
 func (kv *KV) Bytes(tenant string) uint64 {
+	kv.mu.Lock()
+	defer kv.mu.Unlock()
 	if t, ok := kv.tenants[tenant]; ok {
 		return t.bytes
 	}

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -537,6 +538,34 @@ func TestHostcallOverHTTP(t *testing.T) {
 	if sz.Counters.LoweringHits+sz.Counters.LoweringMisses == 0 {
 		t.Fatalf("lowering cache never consulted: %+v", sz.Counters)
 	}
+}
+
+// TestKVSessionTwoWorkers serves the stateful KV tenants of the default
+// registry — one hostcall.World, hence one KV, behind every worker — with
+// Workers: 2 and concurrent clients on the same and on distinct tenants.
+// Run under -race: an unsynchronised store dies here with "concurrent map
+// writes".
+func TestKVSessionTwoWorkers(t *testing.T) {
+	f := New(host.New(host.Config{Workers: 2}), DefaultRegistry(21))
+	ts := httptest.NewServer(f.Handler())
+	c := NewClient(ts.URL)
+	t.Cleanup(func() { c.CloseIdle(); ts.Close(); f.Host().Close() })
+
+	var wg sync.WaitGroup
+	for _, tenant := range []string{"kv-session", "kv-session", "fan-in-agg"} {
+		wg.Add(1)
+		go func(tenant string) {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				res, err := c.Invoke(context.Background(), tenant, []byte("session body"), "")
+				if err != nil || res.Code != 200 {
+					t.Errorf("%s request %d: status %d, err %v", tenant, i, res.Code, err)
+					return
+				}
+			}
+		}(tenant)
+	}
+	wg.Wait()
 }
 
 // TestOpenLoopHTTPGenerator: the HTTP open-loop generator produces a

@@ -5,9 +5,9 @@ import (
 
 	"hfi/internal/cpu"
 	"hfi/internal/isa"
-	"hfi/internal/kernel"
 	"hfi/internal/sandbox"
 	"hfi/internal/sfi"
+	"hfi/internal/tier"
 	"hfi/internal/verifier"
 	"hfi/internal/wasm"
 	"hfi/internal/workloads"
@@ -18,10 +18,11 @@ import (
 // and demand the verifier reject them, these corrupt the Facts artifact a
 // verified program ships with and demand verifier.AuditFacts — the
 // independent re-derivation — reject the artifact. A corrupted fact that
-// survived the audit would make the interpreter elide a check it must not
-// elide, so any survivor is executed under the corrupted artifact with the
-// canary-page escape oracle watching: a forged fact that lets a mutant
-// touch a canary page is a verifier bug, not an interpreter bug.
+// survived the audit would make the tiered engine hoist a check it must
+// not hoist, so any survivor is lowered from the corrupted artifact and
+// executed on the fused runner with the canary-page escape oracle
+// watching: a forged fact that lets a mutant touch a canary page is a
+// verifier bug, not an engine bug.
 
 // factOperator corrupts a cloned Facts artifact at one instruction site.
 type factOperator struct {
@@ -33,30 +34,13 @@ type factOperator struct {
 	apply func(p *isa.Program, f *verifier.Facts, idx int)
 }
 
-// bogusDomSite picks a deterministic instruction that cannot be a
-// dominating identical check: the last non-memory instruction (every
-// program ends in halt/ret, so one exists).
-func bogusDomSite(p *isa.Program, idx int) int {
-	for j := len(p.Instrs) - 1; j >= 0; j-- {
-		switch p.Instrs[j].Op {
-		case isa.OpLoad, isa.OpStore, isa.OpHLoad, isa.OpHStore:
-			continue
-		}
-		if j != idx {
-			return j
-		}
-	}
-	return 0
-}
-
 var factOperators = []factOperator{
 	{
 		// A proved resident interval is widened by 8 GiB: the claim now
 		// reaches past every window the runtime maps. The audit must
 		// reject it (rule "fact-window": the widened interval no longer
-		// fits its claimed window); a survivor would let the interpreter
-		// elide the page-decision lookup for an access the proof no
-		// longer bounds.
+		// fits its claimed window); a survivor would let the tier fuse an
+		// access the proof no longer bounds.
 		name: "widen-fact-interval",
 		sites: func(p *isa.Program, f *verifier.Facts) []int {
 			var s []int
@@ -76,8 +60,8 @@ var factOperators = []factOperator{
 		// proved uniform: the bit is set, the claimed interval spans the
 		// whole first window, as if the analysis had discharged it. The
 		// audit must reject (rule "fact-claim": the bit is not
-		// re-derivable); a survivor would elide the dynamic check for an
-		// arbitrary computed address.
+		// re-derivable); a survivor would fuse an arbitrary computed
+		// address behind nothing but the window compare.
 		name: "forge-resident-fact",
 		sites: func(p *isa.Program, f *verifier.Facts) []int {
 			if len(f.Windows) == 0 {
@@ -98,29 +82,6 @@ var factOperators = []factOperator{
 			f.Mem[idx].Window = 0
 			f.Mem[idx].Size = p.Instrs[idx].Size
 			f.Mem[idx].EA = verifier.Interval{Lo: w.Lo, Hi: w.Hi - uint64(p.Instrs[idx].Size)}
-		},
-	},
-	{
-		// A check is marked dominated when it is not: either the bit is
-		// forged outright onto an unproven access, or a genuine dominated
-		// fact is re-pointed at a witness that is no check at all. The
-		// audit must reject (rules "fact-claim" / "fact-dominated"); a
-		// survivor would skip the check on the first dynamic execution of
-		// an access path the proof never covered.
-		name: "fake-dominated-check",
-		sites: func(p *isa.Program, f *verifier.Facts) []int {
-			var s []int
-			for i := range p.Instrs {
-				op := p.Instrs[i].Op
-				if op == isa.OpLoad || op == isa.OpStore {
-					s = append(s, i)
-				}
-			}
-			return s
-		},
-		apply: func(p *isa.Program, f *verifier.Facts, idx int) {
-			f.Bits[idx] |= verifier.FactDominated
-			f.Mem[idx].DomSite = int32(bogusDomSite(p, idx))
 		},
 	},
 }
@@ -194,59 +155,14 @@ func runFactOps(rep *Report, w workloads.Workload, scheme sfi.Scheme, maxSites i
 	return nil
 }
 
-// runFactMutant executes the unmutated program under a corrupted facts
-// artifact, with canary pages and the MemHook escape oracle exactly as
-// runMutant arms them for instruction mutants.
+// runFactMutant executes the unmutated program on a tiered engine lowered
+// from a corrupted facts artifact (promotion on first sight, so the fused
+// runner carries the run), under the same oracle as instruction mutants.
 func runFactMutant(w workloads.Workload, scheme sfi.Scheme, mut *verifier.Facts, limit uint64, baseReason cpu.StopReason, baseOut uint64) (Outcome, string, error) {
-	rt := sandbox.NewRuntime()
-	mod := w.Build(1)
-	inst, err := rt.Instantiate(mod, scheme, wasm.Options{})
-	if err != nil {
-		return Escaped, "", err
-	}
-	invokeArgs := bindHostEnv(rt, inst, mod, w.Name)
-	inst.AttachFacts(mut)
-
-	type span struct{ lo, hi uint64 }
-	owned := []span{
-		{inst.CodeBase, inst.CodeBase + inst.CodeSize},
-		{inst.HeapBase, inst.HeapBase + inst.HeapReserved},
-		{inst.AuxBase, inst.AuxBase + inst.AuxSize},
-	}
-	for i, b := range inst.ExtraMemBases {
-		if b != 0 {
-			owned = append(owned, span{b, b + inst.ExtraMemReserved[i]})
-		}
-	}
-	m := rt.M
-	for _, at := range []uint64{inst.HeapBase + inst.HeapReserved, inst.AuxBase + inst.AuxSize} {
-		_ = m.AS.MapFixed(at, 4*kernel.OSPageSize, kernel.ProtRead|kernel.ProtWrite)
-	}
-	var escape string
-	m.MemHook = func(pc, addr uint64, size uint8, write bool) {
-		if escape != "" {
-			return
-		}
-		end := addr + uint64(size)
-		for _, s := range owned {
-			if addr >= s.lo && end <= s.hi {
-				return
-			}
-		}
-		kind := "load"
-		if write {
-			kind = "store"
-		}
-		escape = fmt.Sprintf("%s of %d bytes at %#x (pc %#x) outside sandbox", kind, size, addr, pc)
-	}
-	res, out := inst.Invoke(cpu.NewInterp(m), limit, invokeArgs...)
-	m.MemHook = nil
-
-	if escape != "" {
-		return Escaped, escape, nil
-	}
-	if res.Reason == baseReason && out == baseOut {
-		return Equivalent, fmt.Sprintf("identical to baseline: stop=%v result=%#x", res.Reason, out), nil
-	}
-	return Harmless, fmt.Sprintf("contained: stop=%v result=%#x (baseline stop=%v result=%#x)", res.Reason, out, baseReason, baseOut), nil
+	return runOracle(w, scheme, limit, baseReason, baseOut, func(inst *sandbox.Instance) (cpu.Engine, error) {
+		ip := cpu.NewInterp(inst.RT.M)
+		eng := tier.NewEngine(ip, tier.Lower(inst.C.Prog, mut, ip.Cost))
+		eng.PromoteAfter = 1
+		return eng, nil
+	})
 }

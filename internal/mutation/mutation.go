@@ -534,11 +534,23 @@ func runBaseline(w workloads.Workload, scheme sfi.Scheme, limit uint64) (cpu.Sto
 	return res.Reason, out, nil
 }
 
-// runMutant instantiates a fresh sandbox, patches the mutant in place,
-// surrounds the instance with canary pages, and executes it with the
-// machine's MemHook watching every architectural access. Any access
-// outside the regions the instance owns is an escape.
+// runMutant patches one instruction mutant in place and executes it on the
+// interpreter under the escape oracle.
 func runMutant(w workloads.Workload, scheme sfi.Scheme, idx int, mut isa.Instr, limit uint64, baseReason cpu.StopReason, baseOut uint64) (Outcome, string, error) {
+	return runOracle(w, scheme, limit, baseReason, baseOut, func(inst *sandbox.Instance) (cpu.Engine, error) {
+		if idx >= len(inst.C.Prog.Instrs) {
+			return nil, fmt.Errorf("mutant index %d out of range", idx)
+		}
+		inst.C.Prog.Instrs[idx] = mut
+		return cpu.NewInterp(inst.RT.M), nil
+	})
+}
+
+// runOracle instantiates a fresh sandbox, lets arm corrupt the instance
+// and pick the engine, surrounds the instance with canary pages, and
+// executes it with the machine's MemHook watching every architectural
+// access. Any access outside the regions the instance owns is an escape.
+func runOracle(w workloads.Workload, scheme sfi.Scheme, limit uint64, baseReason cpu.StopReason, baseOut uint64, arm func(*sandbox.Instance) (cpu.Engine, error)) (Outcome, string, error) {
 	rt := sandbox.NewRuntime()
 	mod := w.Build(1)
 	inst, err := rt.Instantiate(mod, scheme, wasm.Options{})
@@ -546,10 +558,10 @@ func runMutant(w workloads.Workload, scheme sfi.Scheme, idx int, mut isa.Instr, 
 		return Escaped, "", err
 	}
 	invokeArgs := bindHostEnv(rt, inst, mod, w.Name)
-	if idx >= len(inst.C.Prog.Instrs) {
-		return Escaped, "", fmt.Errorf("mutant index %d out of range", idx)
+	eng, err := arm(inst)
+	if err != nil {
+		return Escaped, "", err
 	}
-	inst.C.Prog.Instrs[idx] = mut
 
 	// Owned regions: code block (springboard + text), the heap
 	// reservation, the aux block (globals + stack), and every extra
@@ -593,7 +605,7 @@ func runMutant(w workloads.Workload, scheme sfi.Scheme, idx int, mut isa.Instr, 
 		}
 		escape = fmt.Sprintf("%s of %d bytes at %#x (pc %#x) outside sandbox", kind, size, addr, pc)
 	}
-	res, out := inst.Invoke(cpu.NewInterp(m), limit, invokeArgs...)
+	res, out := inst.Invoke(eng, limit, invokeArgs...)
 	m.MemHook = nil
 
 	if escape != "" {

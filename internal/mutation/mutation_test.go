@@ -3,7 +3,9 @@ package mutation
 import (
 	"testing"
 
+	"hfi/internal/sandbox"
 	"hfi/internal/sfi"
+	"hfi/internal/wasm"
 )
 
 // TestMutationGate is the acceptance gate: across the corpus and all
@@ -39,20 +41,18 @@ func TestMutationGate(t *testing.T) {
 
 // TestFactOperatorsAuditKill pins the proof-artifact half of the fault
 // model: every fact-corruption mutant — a widened resident interval, a
-// forged residency bit, a fabricated domination claim — must be present in
-// the sweep and rejected by verifier.AuditFacts before it ever runs. A
-// corrupted artifact that reaches execution would have the runtime gates
-// and the escape oracle as last lines, but the audit is required to kill
-// 100% on its own.
+// forged residency bit — must be present in the sweep and rejected by
+// verifier.AuditFacts before it ever runs. A corrupted artifact that
+// reaches execution would have the runtime gates and the escape oracle as
+// last lines, but the audit is required to kill 100% on its own.
 func TestFactOperatorsAuditKill(t *testing.T) {
 	rep, err := Run(Options{Fast: true})
 	if err != nil {
 		t.Fatalf("mutation run: %v", err)
 	}
 	factOps := map[string]int{
-		"widen-fact-interval":  0,
-		"forge-resident-fact":  0,
-		"fake-dominated-check": 0,
+		"widen-fact-interval": 0,
+		"forge-resident-fact": 0,
 	}
 	for _, r := range rep.Results {
 		if _, ok := factOps[r.Operator]; !ok {
@@ -69,6 +69,42 @@ func TestFactOperatorsAuditKill(t *testing.T) {
 			t.Errorf("no %s mutants generated", op)
 		} else {
 			t.Logf("%s: %d mutants, all audit-killed", op, n)
+		}
+	}
+}
+
+// TestFactMutantRunsOnFusedRunner drives the survivor path the audit's
+// 100% kill rate otherwise leaves unexecuted: the genuine artifact run
+// through runFactMutant is equivalent to the interpreter baseline, and
+// every forge-resident-fact mutant fed to the tier un-audited stays
+// contained — the live gate and the window compare hold without the audit.
+func TestFactMutantRunsOnFusedRunner(t *testing.T) {
+	const limit = 50_000_000
+	w := Corpus(true)[0]
+	for _, scheme := range []sfi.Scheme{sfi.GuardPages, sfi.BoundsCheck, sfi.HFI} {
+		rt := sandbox.NewRuntime()
+		inst, err := rt.Instantiate(w.Build(1), scheme, wasm.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, facts := inst.C.Prog, inst.C.Facts
+		reason, out, err := runBaseline(w, scheme, limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, detail, err := runFactMutant(w, scheme, facts, limit, reason, out)
+		if err != nil || got != Equivalent {
+			t.Fatalf("%s/%v genuine artifact: outcome %v (%s), err %v; want equivalent", w.Name, scheme, got, detail, err)
+		}
+		for _, op := range factOperators {
+			for _, idx := range op.sites(prog, facts) {
+				mut := facts.Clone()
+				op.apply(prog, mut, idx)
+				got, detail, err := runFactMutant(w, scheme, mut, limit, reason, out)
+				if err != nil || got == Escaped {
+					t.Errorf("%s/%v %s @%d un-audited: outcome %v (%s), err %v", w.Name, scheme, op.name, idx, got, detail, err)
+				}
+			}
 		}
 	}
 }

@@ -3,33 +3,10 @@ package sandbox
 import (
 	"testing"
 
-	"hfi/internal/cpu"
 	"hfi/internal/sfi"
-	"hfi/internal/verifier"
 	"hfi/internal/wasm"
 	"hfi/internal/workloads"
 )
-
-// TestFactBitParity pins the numeric correspondence between the verifier's
-// fact bits and the cpu package's redeclared elision bits: ElisionFromFacts
-// shares the Bits slice between the two, so a drift here would silently
-// misinterpret proofs.
-func TestFactBitParity(t *testing.T) {
-	pairs := []struct {
-		name     string
-		ver, cpu uint8
-	}{
-		{"resident", verifier.FactResident, cpu.FactResident},
-		{"dominated", verifier.FactDominated, cpu.FactDominated},
-		{"hfi-heap", verifier.FactHfiHeap, cpu.FactHfiHeap},
-		{"hostcall", verifier.FactHostcall, cpu.FactHostcall},
-	}
-	for _, p := range pairs {
-		if p.ver != p.cpu {
-			t.Errorf("%s: verifier bit %#x != cpu bit %#x", p.name, p.ver, p.cpu)
-		}
-	}
-}
 
 // TestFactsTravelWithImages checks that instantiation attaches the
 // compile-time proof artifact and that it covers the heap traffic the

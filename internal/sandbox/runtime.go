@@ -251,12 +251,6 @@ func (rt *Runtime) Instantiate(mod *wasm.Module, scheme sfi.Scheme, opts wasm.Op
 	if err := m.LoadPrelinked(c.Prog); err != nil {
 		return nil, err
 	}
-	if ef := ElisionFromFacts(c.Prog, c.Facts); ef != nil {
-		// The verified image carries its proofs; hand them to the
-		// interpreter's elision path. Warm images share one immutable
-		// artifact across instances.
-		m.AttachFacts(c.Prog, ef)
-	}
 	var low *tier.Lowered
 	if rt.Images != nil {
 		low = rt.Images.Lowering(c)

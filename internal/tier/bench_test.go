@@ -13,7 +13,7 @@ import (
 
 // benchCorpus measures corpus throughput under either engine; the tiered
 // variant is warmed past the promotion threshold first. This is the
-// microscope behind the `hfibench -exp tier` numbers (BENCH_PR8.json).
+// microscope behind the `hfibench -exp tier` numbers.
 func benchCorpus(b *testing.B, scheme sfi.Scheme, tiered bool) {
 	type warmInst struct {
 		inst *sandbox.Instance

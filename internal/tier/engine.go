@@ -34,8 +34,8 @@ type Engine struct {
 	counts   []uint32
 	promoted []bool
 
-	// Per-generation gate over the lowering's fact claims, mirroring the
-	// interpreter's factGate discipline: any HFI state write or mapping
+	// Per-generation gate over the lowering's fact claims, tagged like the
+	// interpreter's page-decision cache: any HFI state write or mapping
 	// change invalidates it wholesale.
 	gateHfiGen uint64
 	gateMapGen uint64
@@ -76,15 +76,13 @@ const (
 )
 
 // Run executes from the machine's current PC until a stop condition or
-// until limit instructions retire (0 = no limit). Configurations the fused
-// runner cannot reproduce bit-exactly delegate wholesale: no lowering, the
-// interpreter's fast paths or fact trust disabled, a memory hook installed
-// (the fused path has no per-access observation point by design — hooked
-// runs are measurement runs), or a cost model differing from the one the
-// static charges were expanded from.
+// until limit instructions retire (0 = no limit). Three configurations
+// delegate wholesale to the interpreter: no lowering (the image carried no
+// facts), NoFastPath (the run is the fully dynamic reference), or a cost
+// model differing from the one the static charges were expanded from.
 func (e *Engine) Run(limit uint64) cpu.RunResult {
 	ip, m, low := e.ip, e.m, e.low
-	if low == nil || ip.NoFastPath || !ip.TrustFacts || m.MemHook != nil || ip.Cost != low.Cost {
+	if low == nil || ip.NoFastPath || ip.Cost != low.Cost {
 		return ip.Run(limit)
 	}
 	if rs := m.ResetSeq(); rs != e.resetSeq {
@@ -186,6 +184,9 @@ func (e *Engine) runChain(b *Block, budget uint64) (used uint64, res cpu.RunResu
 	ip, m, low := e.ip, e.m, e.low
 	regs := &m.Regs
 	hfiOn := m.HFI.Enabled
+	// No fusable op can install or clear the hook, so one read covers the
+	// chain; each memory op pays a nil-compare.
+	hook := m.MemHook
 
 chain:
 	pcNext := b.NextPC
@@ -229,9 +230,10 @@ chain:
 				idx = regs[f.rs2]
 			}
 			addr := isa.PlainEA(base, idx, f.scale, f.disp)
-			// The same hardened compare the interpreter's elision path
-			// applies; anything outside the proven window bails with zero
-			// side effects and the interpreter runs the full checks.
+			// Hardening against a bad artifact: the concrete address is
+			// compared against the proven window, and anything outside
+			// bails with zero side effects so the interpreter runs the
+			// full checks.
 			if addr < f.winLo || addr >= f.winHi || uint64(f.size) > f.winHi-addr {
 				n, bres, bst := e.bail(b, f)
 				return used + n, bres, bst
@@ -240,6 +242,9 @@ chain:
 				m.HFI.ChecksData++
 			}
 			m.FactElisions++
+			if hook != nil {
+				hook(low.base+uint64(f.src)*isa.InstrBytes, addr, f.size, f.kind == kStore)
+			}
 			if f.kind == kStore {
 				m.Mem().Write(addr, f.size, regs[f.rs3])
 				ip.ChargeMemAt(addr, true)
@@ -259,10 +264,13 @@ chain:
 				n, fres, fst := e.fusedFault(b, f, addr, flt)
 				return used + n, fres, fst
 			}
-			// The gate re-validated the region span against the page
-			// table, so the MMU lookup is elided — factElideHfi's exact
-			// contract.
+			// ExplicitEA bounds-checked the address into the region and the
+			// gate re-validated the region's span against the page table,
+			// so the MMU lookup is elided.
 			m.FactElisions++
+			if hook != nil {
+				hook(low.base+uint64(f.src)*isa.InstrBytes, addr, f.size, write)
+			}
 			if write {
 				m.Mem().Write(addr, f.size, regs[f.rs3])
 				ip.ChargeMemAt(addr, true)
@@ -361,15 +369,20 @@ func (e *Engine) fusedFault(b *Block, f *fused, addr uint64, flt *hfi.Fault) (ui
 }
 
 // gateSync re-validates every fact claim the lowering relies on against
-// the live machine, then folds the results into a per-block verdict. The
-// mirror of cpu's factWindowValid / factElideHfi, computed once per
-// HFI/mapping generation instead of per access.
+// the live machine, then folds the results into a per-block verdict,
+// computed once per HFI/mapping generation instead of per access.
 func (e *Engine) gateSync() {
 	m, low := e.m, e.low
 	e.gateHfiGen, e.gateMapGen, e.gateOK = m.HFI.Gen, m.AS.Gen(), true
 	for i, w := range low.windows {
 		ok := w.Hi > w.Lo && m.AS.CheckRange(w.Lo, w.Hi-w.Lo, kernel.ProtRead|kernel.ProtWrite)
 		if ok && m.HFI.Enabled {
+			// Implicit HFI regions are contiguous intervals, so one
+			// range-level query covers the window in O(regions). Uniformity
+			// over the full range requires ONE region to contain the window,
+			// matching CheckData's straddle-faults semantics for every
+			// access inside it (per-page uniformity would not: two adjacent
+			// regions could each uniformly cover half the window).
 			r, wr, uniform := m.HFI.DataPageDecision(w.Lo, w.Hi-w.Lo)
 			if !uniform || !r || !wr {
 				ok = false

@@ -37,7 +37,6 @@ func syntheticFacts(p *isa.Program, lo, hi uint64) *verifier.Facts {
 	}
 	for i := range f.Mem {
 		f.Mem[i].Window = -1
-		f.Mem[i].DomSite = -1
 	}
 	for i := range p.Instrs {
 		switch p.Instrs[i].Op {
@@ -185,7 +184,7 @@ func TestDemoteOnReset(t *testing.T) {
 // TestTierHotLoopZeroAllocs is the allocation gate for the tiered hot
 // loop: after a warm run promotes the store loop, re-running the program
 // end to end — fused blocks, interpreter segments, gate checks — must not
-// allocate. `make verify` runs this, so the BENCH_PR8 numbers stay honest.
+// allocate.
 func TestTierHotLoopZeroAllocs(t *testing.T) {
 	const base, buf = uint64(0x1000), uint64(0x100000)
 	m := newFillMachine(t, base, buf, 0x10000, 1024)
@@ -226,5 +225,65 @@ func TestGateRefusesUnmappedWindow(t *testing.T) {
 	}
 	if _, tiered, _ := eng.Counters(); tiered != 0 {
 		t.Fatalf("gate admitted an unbacked window: %d fused instrs", tiered)
+	}
+}
+
+// TestForgedWindowOverCanary feeds tier.Lower hand-forged, un-audited
+// FactResident windows with the MemHook escape oracle armed. The store
+// loop walks off its buffer onto a canary page the guest may read but not
+// write; whatever the artifact claims, the run must end in the
+// interpreter's page fault at the canary — by gate refusal or by a
+// window-compare bail — with the hook never shown an address outside the
+// buffer.
+func TestForgedWindowOverCanary(t *testing.T) {
+	const base, buf = uint64(0x1000), uint64(0x100000)
+	const canary = buf + 0x1000
+	const n = 600 // 600*8 = 4800 bytes: the 513th store lands on the canary
+
+	for _, tc := range []struct {
+		name   string
+		lo, hi uint64
+		fused  bool
+	}{
+		// The window is laid over buffer and canary alike: the live page
+		// table does not back the read+write claim, so nothing fuses.
+		{"gate refuses a window over the canary", buf, canary + 0x1000, false},
+		// The window honestly stops at the canary: the loop runs fused
+		// until the first store past it, which bails before any effect.
+		{"window compare bails at the canary", buf, canary, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newFillMachine(t, base, buf, 0x1000, n)
+			if err := m.AS.MapFixed(canary, 0x1000, kernel.ProtRead); err != nil {
+				t.Fatal(err)
+			}
+			var seen, escaped int
+			m.MemHook = func(pc, addr uint64, size uint8, write bool) {
+				seen++
+				if addr < buf || addr+uint64(size) > canary {
+					escaped++
+				}
+			}
+			ip := cpu.NewInterp(m)
+			p := buildFill(base, buf, n)
+			eng := NewEngine(ip, Lower(p, syntheticFacts(p, tc.lo, tc.hi), ip.Cost))
+			eng.PromoteAfter = 1
+			res := eng.Run(0)
+			if res.Reason != cpu.StopFault || !res.PageFault || res.FaultAddr != canary {
+				t.Fatalf("stop = %+v, want a page fault at the canary %#x", res, canary)
+			}
+			if escaped != 0 {
+				t.Fatalf("the hook saw %d accesses outside the buffer", escaped)
+			}
+			// Every in-buffer store is observed, fused or not: a fused
+			// runner that skipped the hook would show one store per
+			// interpreted visit only.
+			if seen != 512 {
+				t.Fatalf("the hook saw %d stores, want all 512 in-buffer ones", seen)
+			}
+			if _, tiered, _ := eng.Counters(); (tiered > 0) != tc.fused {
+				t.Fatalf("fused instructions = %d, want fused=%v", tiered, tc.fused)
+			}
+		})
 	}
 }

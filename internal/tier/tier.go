@@ -3,18 +3,18 @@
 // superinstructions and executes hot blocks as straight-line Go with no
 // per-instruction fetch-decode-dispatch.
 //
-// The lowering consumes the verifier's proof artifact (verifier.Facts) the
-// same way the interpreter's elision path does, but spends it once per
-// image instead of per retirement: plain loads and stores fuse only when
-// the verifier proved them resident in a window (the live-machine
-// re-validation is hoisted to a per-generation gate, leaving one bounds
-// compare per access), hld/hst fuse when the region operand is proven
-// well-formed (the HFI bounds check, ExplicitEA, still runs — it is the
-// architectural fault source — while the MMU lookup behind it is elided,
-// exactly mirroring the interpreter), and the verifier's NoSideExit block
-// flag is consumed as a cross-check on fully-fused compute blocks. Blocks
-// are the CFG's basic blocks, so every branch target in verified code is a
-// block leader and the engine regains control at block granularity.
+// The lowering is the only run-time consumer of the verifier's proof
+// artifact (verifier.Facts), and spends it once per image instead of per
+// retirement: plain loads and stores fuse only when the verifier proved
+// them resident in a window (the live-machine re-validation is hoisted to
+// a per-generation gate, leaving one bounds compare per access), hld/hst
+// fuse when the region operand is proven well-formed (the HFI bounds
+// check, ExplicitEA, still runs — it is the architectural fault source —
+// while the MMU lookup behind it is elided), and the verifier's NoSideExit
+// block flag is consumed as a cross-check on fully-fused compute blocks.
+// Blocks are the CFG's basic blocks, so every branch target in verified
+// code is a block leader and the engine regains control at block
+// granularity.
 //
 // Cycle-exactness contract (asserted by the sandbox differential corpus
 // gate): a program runs to the same registers, memory, stop reason,
@@ -283,8 +283,7 @@ scan:
 
 		case in.Op == isa.OpHLoad || in.Op == isa.OpHStore:
 			// ExplicitEA runs inline (it is the bounds check and the fault
-			// source); the proof covers the MMU lookup behind it, mirroring
-			// the interpreter's factElideHfi path.
+			// source); the proof covers the MMU lookup behind it.
 			if f.Bits[i]&verifier.FactHfiHeap == 0 || int(in.HReg) >= hfi.NumExplicitRegions {
 				break scan
 			}

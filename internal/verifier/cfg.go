@@ -13,8 +13,8 @@ import (
 // abstract interpreter additionally requires every indirect target to be
 // a proven-exact constant INSIDE this set, so the CFG is a true
 // over-approximation of concrete control flow for every admitted
-// program — the soundness foundation of the dominator-based facts
-// (a resolved target outside the set would let execution enter a block
+// program — the soundness foundation of the block-level facts (a
+// resolved target outside the set would let execution enter a block
 // mid-way with no CFG edge witnessing it).
 type CFG struct {
 	P *isa.Program
@@ -171,140 +171,4 @@ func (g *CFG) BlockAt(instrIndex int) int {
 		return b
 	}
 	return -1
-}
-
-// BlockOf returns the index into Blocks of the block containing the given
-// instruction index, or -1. Blocks are sorted by Start, so this is a
-// binary search.
-func (g *CFG) BlockOf(instrIndex int) int {
-	i := sort.Search(len(g.Blocks), func(i int) bool { return g.Blocks[i].End > instrIndex })
-	if i == len(g.Blocks) || instrIndex < g.Blocks[i].Start {
-		return -1
-	}
-	return i
-}
-
-// Preds computes the predecessor lists implied by the successor edges,
-// deduplicated (an edge appearing twice — e.g. both branch arms targeting
-// one block — counts once).
-func (g *CFG) Preds() [][]int {
-	preds := make([][]int, len(g.Blocks))
-	for bi := range g.Blocks {
-		for _, s := range g.Blocks[bi].Succs {
-			dup := false
-			for _, p := range preds[s] {
-				if p == bi {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				preds[s] = append(preds[s], bi)
-			}
-		}
-	}
-	return preds
-}
-
-// Dominators computes the immediate-dominator tree over the block graph
-// rooted at block entry, using the Cooper–Harvey–Kennedy iterative
-// algorithm over a reverse postorder. idom[entry] == entry; blocks
-// unreachable from entry get idom -1 (no dominance information — the fact
-// pass drops any claim about them). Call edges are ordinary CFG edges
-// here, so the tree is whole-program: a callee's entry block is dominated
-// by every block that dominates all of its call sites.
-func (g *CFG) Dominators(entry int) []int {
-	n := len(g.Blocks)
-	idom := make([]int, n)
-	for i := range idom {
-		idom[i] = -1
-	}
-	if n == 0 || entry < 0 || entry >= n {
-		return idom
-	}
-	// Reverse postorder from entry.
-	post := make([]int, 0, n)
-	state := make([]uint8, n) // 0 unvisited, 1 on stack, 2 done
-	type frame struct{ b, next int }
-	stack := []frame{{entry, 0}}
-	state[entry] = 1
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		if f.next < len(g.Blocks[f.b].Succs) {
-			s := g.Blocks[f.b].Succs[f.next]
-			f.next++
-			if state[s] == 0 {
-				state[s] = 1
-				stack = append(stack, frame{s, 0})
-			}
-			continue
-		}
-		state[f.b] = 2
-		post = append(post, f.b)
-		stack = stack[:len(stack)-1]
-	}
-	rpo := make([]int, n) // block -> reverse-postorder number
-	for i := range rpo {
-		rpo[i] = -1
-	}
-	order := make([]int, 0, len(post)) // blocks in reverse postorder
-	for i := len(post) - 1; i >= 0; i-- {
-		rpo[post[i]] = len(order)
-		order = append(order, post[i])
-	}
-	preds := g.Preds()
-	intersect := func(a, b int) int {
-		for a != b {
-			for rpo[a] > rpo[b] {
-				a = idom[a]
-			}
-			for rpo[b] > rpo[a] {
-				b = idom[b]
-			}
-		}
-		return a
-	}
-	idom[entry] = entry
-	for changed := true; changed; {
-		changed = false
-		for _, b := range order {
-			if b == entry {
-				continue
-			}
-			newIdom := -1
-			for _, p := range preds[b] {
-				if idom[p] < 0 {
-					continue // unreachable or not yet processed
-				}
-				if newIdom < 0 {
-					newIdom = p
-				} else {
-					newIdom = intersect(newIdom, p)
-				}
-			}
-			if newIdom >= 0 && idom[b] != newIdom {
-				idom[b] = newIdom
-				changed = true
-			}
-		}
-	}
-	return idom
-}
-
-// Dominates reports whether block a dominates block b under the idom tree
-// returned by Dominators (every block dominates itself).
-func Dominates(idom []int, a, b int) bool {
-	if a < 0 || b < 0 || idom[b] < 0 {
-		return false
-	}
-	for {
-		if a == b {
-			return true
-		}
-		next := idom[b]
-		if next == b || next < 0 {
-			return false // reached the root (idom[entry]==entry) or unreachable
-		}
-		b = next
-	}
 }

@@ -8,12 +8,12 @@ import (
 
 // This file promotes the verifier from a boolean gate into an analyzer:
 // Analyze runs the same abstract interpretation Verify does, but keeps the
-// proofs it discharges as a Facts artifact the interpreter can consume to
-// elide dynamic checks (§4's check-hoisting argument: safety proven once
-// should not be re-paid per access). Facts are conservative claims — every
-// bit set is backed by the interval fixpoint plus the CFG dominator pass —
-// and they are re-checkable: AuditFacts re-derives everything from scratch
-// and rejects any claim that does not reproduce.
+// proofs it discharges as a Facts artifact the tiered engine (internal/tier,
+// the sole run-time consumer) spends to hoist dynamic checks to block entry
+// (§4's check-hoisting argument: safety proven once should not be re-paid
+// per access). Facts are conservative claims — every bit set is backed by
+// the interval fixpoint — and they are re-checkable: AuditFacts re-derives
+// everything from scratch and rejects any claim that does not reproduce.
 
 // Per-instruction fact bits.
 const (
@@ -23,13 +23,6 @@ const (
 	// window's pages against the live page table and HFI bank (gen-tagged),
 	// the per-access page-decision lookup is redundant.
 	FactResident uint8 = 1 << iota
-	// FactDominated: an identical check (same base/index/scale/disp/size/
-	// direction) provably executes on every path to this instruction with
-	// no intervening redefinition of the address registers and no
-	// state-changing instruction (call, syscall, hostcall, HFI config) in
-	// between, and a concrete dominating site exists in the dominator tree.
-	// The earlier check's outcome therefore equals this one's.
-	FactDominated
 	// FactHfiHeap: an hld/hst whose region operand and displacement the
 	// verifier proved well-formed. The hardware bounds check (ExplicitEA)
 	// still runs — it is the fault source — but the MMU lookup behind it is
@@ -43,13 +36,13 @@ const (
 
 // Window is a half-open address range [Lo, Hi) the runtime is expected to
 // have mapped read+write for the lifetime of the instance. Facts never
-// assert the mapping — the interpreter re-validates a window's pages
+// assert the mapping — the tiered engine's gate re-validates a window
 // against the live address space and HFI bank before trusting any
 // FactResident claim into it.
 type Window struct{ Lo, Hi uint64 }
 
 // MemFact carries the per-instruction proof detail behind the FactResident
-// and FactDominated bits of one memory operation.
+// bit of one memory operation.
 type MemFact struct {
 	// EA is the joined proven interval of the access's first byte over
 	// every abstract state reaching the instruction.
@@ -57,9 +50,6 @@ type MemFact struct {
 	Size uint8
 	// Window indexes Facts.Windows for FactResident claims; -1 otherwise.
 	Window int16
-	// DomSite is the instruction index of a dominating identical check for
-	// FactDominated claims; -1 otherwise.
-	DomSite int32
 }
 
 // HostcallFact is the discharged call-site proof of one direct call to the
@@ -107,7 +97,6 @@ type BlockFact struct {
 // carry their proofs.
 type Facts struct {
 	Scheme    sfi.Scheme
-	Entry     int // entry instruction index (EntrySym)
 	NumInstrs int
 	// Bits holds the per-instruction fact bits; Mem is parallel and
 	// meaningful only where a memory-fact bit is set.
@@ -119,15 +108,15 @@ type Facts struct {
 
 	// HeapOps counts linear-memory operations (plain accesses proven into
 	// the heap or an extra memory, plus every hld/hst); Covered counts
-	// those carrying an elidable fact (resident, HFI-heap, or dominated).
+	// those carrying an elidable fact (resident or HFI-heap).
 	HeapOps int
 	Covered int
 }
 
 // FactsSummary is the CLI-facing rollup of one Facts artifact.
 type FactsSummary struct {
-	Resident, Dominated, HfiHeap, HostcallSites int
-	MemOps, HeapOps, Covered                    int
+	Resident, HfiHeap, HostcallSites int
+	MemOps, HeapOps, Covered         int
 }
 
 // Summary counts facts by kind. MemOps counts every memory instruction;
@@ -137,9 +126,6 @@ func (f *Facts) Summary() FactsSummary {
 	for _, b := range f.Bits {
 		if b&FactResident != 0 {
 			s.Resident++
-		}
-		if b&FactDominated != 0 {
-			s.Dominated++
 		}
 		if b&FactHfiHeap != 0 {
 			s.HfiHeap++
@@ -298,244 +284,12 @@ func residentWindows(cfg *Config) []Window {
 	return ws
 }
 
-// checkKey identifies a dynamic check: two memory operations with equal
-// keys compute the same effective address from the same registers and make
-// the same access, so with no intervening redefinition or state change
-// their checks decide identically.
-type checkKey struct {
-	rs1, rs2 isa.Reg
-	scale    uint8
-	disp     int64
-	size     uint8
-	write    bool
-	hfi      bool
-	hreg     uint8
-}
-
-// memCheckKey returns the check key of a memory instruction.
-func memCheckKey(in *isa.Instr) (checkKey, bool) {
-	switch in.Op {
-	case isa.OpLoad, isa.OpStore:
-		return checkKey{rs1: in.Rs1, rs2: in.Rs2, scale: in.Scale, disp: in.Disp,
-			size: in.Size, write: in.Op == isa.OpStore}, true
-	case isa.OpHLoad, isa.OpHStore:
-		return checkKey{rs1: isa.RegNone, rs2: in.Rs2, scale: in.Scale, disp: in.Disp,
-			size: in.Size, write: in.Op == isa.OpHStore, hfi: true, hreg: in.HReg}, true
-	}
-	return checkKey{}, false
-}
-
-// instrEffect classifies one instruction for the availability transfer:
-// the register it defines (RegNone if none) and whether it invalidates
-// every outstanding check (control leaves the function, or machine state a
-// check depends on — page tables, the HFI bank — may change).
-func instrEffect(in *isa.Instr) (def isa.Reg, killAll bool) {
-	switch in.Op {
-	case isa.OpNop, isa.OpFence, isa.OpHalt,
-		isa.OpStore, isa.OpHStore,
-		isa.OpBr, isa.OpJmp, isa.OpJmpInd, isa.OpClflush:
-		return isa.RegNone, false
-	case isa.OpMovImm, isa.OpMov,
-		isa.OpAdd, isa.OpSub, isa.OpAnd, isa.OpOr, isa.OpXor,
-		isa.OpShl, isa.OpShr, isa.OpSar, isa.OpMul, isa.OpDiv, isa.OpRem,
-		isa.OpNot, isa.OpNeg,
-		isa.OpLoad, isa.OpHLoad, isa.OpRdtsc:
-		return in.Rd, false
-	case isa.OpRet:
-		// No fall-through; successors (none) make the kill moot.
-		return isa.RegNone, false
-	default:
-		// Calls (callee havocs registers and may change state), syscalls
-		// (mprotect moves the map generation), hostcalls (host runs), and
-		// every HFI config instruction (bank generation moves). Anything
-		// unrecognized is conservatively a barrier.
-		return isa.RegNone, true
-	}
-}
-
-// availability runs a forward available-checks dataflow over the CFG:
-// bitsets of memory-op sites whose check provably executed on every path
-// since the last kill. Intersection join; entry and indirect-target blocks
-// start empty via their (possibly absent) predecessors.
-type availability struct {
-	p      *isa.Program
-	g      *CFG
-	sites  []int              // instruction indices of memory ops
-	siteNo map[int]int        // instruction index -> dense site number
-	keys   []checkKey         // per site
-	byKey  map[checkKey][]int // site numbers sharing a key
-	in     [][]uint64         // per block, bitset over sites
-	words  int
-	// kill[r] is the bitset of sites whose check key reads register r
-	// (nil when no site does): a definition of r clears them with one
-	// word-wise AND-NOT instead of a per-site scan.
-	kill [isa.NumRegs][]uint64
-}
-
-func newAvailability(p *isa.Program, g *CFG) *availability {
-	a := &availability{p: p, g: g, siteNo: map[int]int{}, byKey: map[checkKey][]int{}}
-	for i := range p.Instrs {
-		if k, ok := memCheckKey(&p.Instrs[i]); ok {
-			a.siteNo[i] = len(a.sites)
-			a.byKey[k] = append(a.byKey[k], len(a.sites))
-			a.sites = append(a.sites, i)
-			a.keys = append(a.keys, k)
-		}
-	}
-	a.words = (len(a.sites) + 63) / 64
-	for sn, k := range a.keys {
-		for _, r := range [2]isa.Reg{k.rs1, k.rs2} {
-			if r == isa.RegNone {
-				continue
-			}
-			if a.kill[r] == nil {
-				a.kill[r] = make([]uint64, a.words)
-			}
-			a.kill[r][sn/64] |= 1 << (sn % 64)
-		}
-	}
-	a.in = make([][]uint64, len(g.Blocks))
-	return a
-}
-
-func (a *availability) full() []uint64 {
-	s := make([]uint64, a.words)
-	for i := range s {
-		s[i] = ^uint64(0)
-	}
-	return s
-}
-
-func (a *availability) set(s []uint64, bit int) { s[bit/64] |= 1 << (bit % 64) }
-func (a *availability) has(s []uint64, bit int) bool {
-	return s[bit/64]&(1<<(bit%64)) != 0
-}
-
-// transfer runs the block's availability transfer in place.
-func (a *availability) transfer(b int, s []uint64) {
-	blk := &a.g.Blocks[b]
-	for idx := blk.Start; idx < blk.End; idx++ {
-		in := &a.p.Instrs[idx]
-		// The site becomes available first, then its own definition kills
-		// it if the destination overlaps the address registers.
-		if site, ok := a.siteNo[idx]; ok {
-			a.set(s, site)
-		}
-		def, killAll := instrEffect(in)
-		if killAll {
-			for w := range s {
-				s[w] = 0
-			}
-			continue
-		}
-		if def != isa.RegNone {
-			if km := a.kill[def]; km != nil {
-				for w := range s {
-					s[w] &^= km[w]
-				}
-			}
-		}
-	}
-}
-
-// solve iterates to the greatest fixpoint.
-func (a *availability) solve() {
-	if len(a.g.Blocks) == 0 {
-		return
-	}
-	preds := a.g.Preds()
-	for b := range a.in {
-		if len(preds[b]) == 0 {
-			a.in[b] = make([]uint64, a.words)
-		} else {
-			a.in[b] = a.full()
-		}
-	}
-	out := make([][]uint64, len(a.in))
-	for b := range out {
-		out[b] = make([]uint64, a.words)
-		copy(out[b], a.in[b])
-		a.transfer(b, out[b])
-	}
-	tmp := make([]uint64, a.words)
-	for changed := true; changed; {
-		changed = false
-		for b := range a.in {
-			ps := preds[b]
-			if len(ps) == 0 {
-				continue
-			}
-			copy(tmp, out[ps[0]])
-			for _, p := range ps[1:] {
-				for w := range tmp {
-					tmp[w] &= out[p][w]
-				}
-			}
-			same := true
-			for w := range tmp {
-				if tmp[w] != a.in[b][w] {
-					same = false
-					break
-				}
-			}
-			if same {
-				continue
-			}
-			copy(a.in[b], tmp)
-			copy(out[b], tmp)
-			a.transfer(b, out[b])
-			changed = true
-		}
-	}
-}
-
-// dominatedAt walks block b replaying the transfer and reports, for each
-// memory op, a same-key site available at that point (-1 if none). The
-// returned map is keyed by instruction index.
-func (a *availability) dominatedAt(b int) map[int]int {
-	out := map[int]int{}
-	s := make([]uint64, a.words)
-	copy(s, a.in[b])
-	blk := &a.g.Blocks[b]
-	for idx := blk.Start; idx < blk.End; idx++ {
-		in := &a.p.Instrs[idx]
-		if site, ok := a.siteNo[idx]; ok {
-			k := a.keys[site]
-			dom := -1
-			for _, sn := range a.byKey[k] {
-				if sn != site && a.has(s, sn) {
-					dom = a.sites[sn]
-					break
-				}
-			}
-			out[idx] = dom
-			a.set(s, site)
-		}
-		def, killAll := instrEffect(in)
-		if killAll {
-			for w := range s {
-				s[w] = 0
-			}
-			continue
-		}
-		if def != isa.RegNone {
-			if km := a.kill[def]; km != nil {
-				for w := range s {
-					s[w] &^= km[w]
-				}
-			}
-		}
-	}
-	return out
-}
-
 // buildFacts derives the Facts artifact after a violation-free analysis.
 func (v *verification) buildFacts() *Facts {
 	p := v.p
 	g := BuildCFG(p)
 	f := &Facts{
 		Scheme:    v.cfg.Scheme,
-		Entry:     v.entryIndex(),
 		NumInstrs: len(p.Instrs),
 		Bits:      make([]uint8, len(p.Instrs)),
 		Mem:       make([]MemFact, len(p.Instrs)),
@@ -543,7 +297,7 @@ func (v *verification) buildFacts() *Facts {
 		Windows:   residentWindows(&v.cfg),
 	}
 	for i := range f.Mem {
-		f.Mem[i].Window, f.Mem[i].DomSite = -1, -1
+		f.Mem[i].Window = -1
 	}
 
 	// Resident facts from the joined observations.
@@ -586,34 +340,6 @@ func (v *verification) buildFacts() *Facts {
 		}
 	}
 
-	// Dominated-check facts: availability fixpoint, then the dominator
-	// pass filters each witness down to a site that actually dominates.
-	av := newAvailability(p, g)
-	av.solve()
-	entryBlock := g.BlockOf(f.Entry)
-	idom := g.Dominators(entryBlock)
-	for b := range g.Blocks {
-		for idx, domSite := range av.dominatedAt(b) {
-			if domSite < 0 {
-				continue
-			}
-			db, ib := g.BlockOf(domSite), b
-			ok := false
-			if db == ib {
-				ok = domSite < idx
-			} else {
-				ok = Dominates(idom, db, ib)
-			}
-			if !ok {
-				// Available on every path but no single dominating witness
-				// (e.g. a diamond with the check in both arms): drop.
-				continue
-			}
-			f.Bits[idx] |= FactDominated
-			f.Mem[idx].DomSite = int32(domSite)
-		}
-	}
-
 	// Block facts.
 	f.Blocks = make([]BlockFact, len(g.Blocks))
 	for b := range g.Blocks {
@@ -632,7 +358,7 @@ func (v *verification) buildFacts() *Facts {
 		default:
 			continue
 		}
-		if f.Bits[i]&(FactResident|FactHfiHeap|FactDominated) != 0 {
+		if f.Bits[i]&(FactResident|FactHfiHeap) != 0 {
 			f.Covered++
 		}
 	}
@@ -740,8 +466,7 @@ func Analyze(p *isa.Program, cfg Config) (*Facts, error) {
 // and cfg: a fresh abstract interpretation (no state shared with the
 // producer) re-derives the facts, and every claim must be subsumed by the
 // re-derivation — claimed bits a superset of nothing, intervals containing
-// the fresh ones while fitting their windows, dominators actually
-// dominating. Any discrepancy rejects with a fact-* rule. The runtime
+// the fresh ones while fitting their windows. Any discrepancy rejects with a fact-* rule. The runtime
 // never has to trust a deserialized or cached artifact: auditing it costs
 // one verification run.
 func AuditFacts(p *isa.Program, cfg Config, claimed *Facts) error {
@@ -763,9 +488,6 @@ func AuditFacts(p *isa.Program, cfg Config, claimed *Facts) error {
 	if claimed.Scheme != cfg.Scheme {
 		a.violate(-1, "fact-shape", "artifact scheme %v != config scheme %v", claimed.Scheme, cfg.Scheme)
 	}
-	if claimed.Entry != fresh.Entry {
-		a.violate(-1, "fact-shape", "artifact entry %d != program entry %d", claimed.Entry, fresh.Entry)
-	}
 	// Windows must equal the geometry-derived set: a tampered window would
 	// re-anchor every resident claim.
 	if len(claimed.Windows) != len(fresh.Windows) {
@@ -783,8 +505,6 @@ func AuditFacts(p *isa.Program, cfg Config, claimed *Facts) error {
 		return a.reject()
 	}
 
-	g := BuildCFG(p)
-	idom := g.Dominators(g.BlockOf(fresh.Entry))
 	for i := range p.Instrs {
 		if extra := claimed.Bits[i] &^ fresh.Bits[i]; extra != 0 {
 			a.violate(i, "fact-claim", "claimed fact bits %#x are not re-derivable (fresh %#x)",
@@ -808,32 +528,6 @@ func AuditFacts(p *isa.Program, cfg Config, claimed *Facts) error {
 			if fm.EA.Lo < cm.EA.Lo || fm.EA.Hi > cm.EA.Hi {
 				a.violate(i, "fact-claim", "claimed interval [%#x,%#x] does not contain the proven [%#x,%#x]",
 					cm.EA.Lo, cm.EA.Hi, fm.EA.Lo, fm.EA.Hi)
-				continue
-			}
-		}
-		if claimed.Bits[i]&FactDominated != 0 {
-			ds := int(cm.DomSite)
-			bad := func(why string) {
-				a.violate(i, "fact-dominated", "claimed dominating site %d: %s", ds, why)
-			}
-			if ds < 0 || ds >= len(p.Instrs) || ds == i {
-				bad("out of range")
-				continue
-			}
-			ki, oki := memCheckKey(&p.Instrs[i])
-			kd, okd := memCheckKey(&p.Instrs[ds])
-			if !oki || !okd || ki != kd {
-				bad("not an identical check")
-				continue
-			}
-			db, ib := g.BlockOf(ds), g.BlockOf(i)
-			if db == ib {
-				if ds >= i {
-					bad("follows the claimed dominated access in its block")
-					continue
-				}
-			} else if !Dominates(idom, db, ib) {
-				bad("its block does not dominate the access")
 				continue
 			}
 		}

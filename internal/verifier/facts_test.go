@@ -34,68 +34,6 @@ func auditRule(t *testing.T, p *isa.Program, scheme sfi.Scheme, claimed *Facts) 
 	return re.First().Rule
 }
 
-// --- dominators --------------------------------------------------------
-
-// TestDominatorsDiamond pins the Cooper-Harvey-Kennedy pass on the
-// canonical diamond: neither arm dominates the join, the entry dominates
-// everything, every block dominates itself.
-func TestDominatorsDiamond(t *testing.T) {
-	b := isa.NewBuilder(0)
-	b.MovImm(isa.R0, 0)
-	b.BrImm(isa.CondEQ, isa.R0, 0, "right") // 1: split
-	b.Label("left")
-	b.MovImm(isa.R1, 1) // 2
-	b.Jmp("join")       // 3
-	b.Label("right")
-	b.MovImm(isa.R1, 2) // 4
-	b.Label("join")
-	b.Halt() // 5
-	p := b.Build()
-
-	g := BuildCFG(p)
-	entry := g.BlockOf(0)
-	idom := g.Dominators(entry)
-	left, right, join := g.BlockOf(2), g.BlockOf(4), g.BlockOf(5)
-
-	if idom[join] != entry {
-		t.Errorf("idom(join) = %d, want entry %d", idom[join], entry)
-	}
-	for _, blk := range []int{left, right, join} {
-		if !Dominates(idom, entry, blk) {
-			t.Errorf("entry should dominate block %d", blk)
-		}
-		if !Dominates(idom, blk, blk) {
-			t.Errorf("block %d should dominate itself", blk)
-		}
-	}
-	if Dominates(idom, left, join) || Dominates(idom, right, join) {
-		t.Error("a diamond arm must not dominate the join")
-	}
-}
-
-// TestDominatorsUnreachable: blocks the entry cannot reach stay idom -1
-// and dominate nothing.
-func TestDominatorsUnreachable(t *testing.T) {
-	b := isa.NewBuilder(0)
-	b.Jmp("end") // 0
-	b.Label("dead")
-	b.MovImm(isa.R0, 1) // 1: unreachable
-	b.Label("end")
-	b.Halt() // 2
-	p := b.Build()
-
-	g := BuildCFG(p)
-	entry := g.BlockOf(0)
-	idom := g.Dominators(entry)
-	dead := g.BlockOf(1)
-	if idom[dead] != -1 {
-		t.Errorf("idom(dead) = %d, want -1", idom[dead])
-	}
-	if Dominates(idom, entry, dead) {
-		t.Error("entry must not dominate an unreachable block")
-	}
-}
-
 // --- CFG edge cases feeding the fact analysis --------------------------
 
 // testHeapBase mirrors testCfg's heap base. The root entry trusts no
@@ -105,29 +43,28 @@ func TestDominatorsUnreachable(t *testing.T) {
 const testHeapBase = int64(0x1_0000_0000)
 
 // TestFactFallThroughDominatedCheck: a conditional branch falls through
-// into a block repeating an identical access; the fall-through edge is a
-// real CFG edge, so the first check dominates and the second gets the
-// FactDominated elision fact with the first as its witness.
+// into a block repeating an identical access. The repeat needs no witness
+// from the first check: its own interval proof makes it resident, in the
+// same window, and the genuine artifact passes the audit.
 func TestFactFallThroughDominatedCheck(t *testing.T) {
 	b := isa.NewBuilder(0)
 	b.MovImm(sfi.HeapBaseReg, testHeapBase)          // 0
 	b.MovImm(isa.R1, 0x100)                          // 1
 	b.Load(8, isa.R2, sfi.HeapBaseReg, isa.R1, 1, 0) // 2: check A
 	b.BrImm(isa.CondEQ, isa.R2, 0, "skip")           // 3
-	b.Load(8, isa.R3, sfi.HeapBaseReg, isa.R1, 1, 0) // 4: fall-through, same key
+	b.Load(8, isa.R3, sfi.HeapBaseReg, isa.R1, 1, 0) // 4: fall-through, same address
 	b.Label("skip")
 	b.Halt() // 5
 	p := b.Build()
 
 	f := analyzeOK(t, p, sfi.GuardPages)
-	if f.Bits[2]&FactResident == 0 {
-		t.Error("first access has an exact in-heap EA; want FactResident")
+	for _, i := range []int{2, 4} {
+		if f.Bits[i]&FactResident == 0 {
+			t.Errorf("access %d has an exact in-heap EA; want FactResident (bits %#x)", i, f.Bits[i])
+		}
 	}
-	if f.Bits[4]&FactDominated == 0 {
-		t.Fatalf("fall-through repeat of an identical check not marked dominated (bits %#x)", f.Bits[4])
-	}
-	if f.Mem[4].DomSite != 2 {
-		t.Errorf("DomSite = %d, want 2", f.Mem[4].DomSite)
+	if f.Mem[2].Window != f.Mem[4].Window || f.Mem[2].EA != f.Mem[4].EA {
+		t.Errorf("identical accesses carry different proofs: %+v vs %+v", f.Mem[2], f.Mem[4])
 	}
 	if r := auditRule(t, p, sfi.GuardPages, f); r != "" {
 		t.Errorf("audit rejected the genuine artifact: %s", r)
@@ -136,11 +73,10 @@ func TestFactFallThroughDominatedCheck(t *testing.T) {
 
 // TestFactBackEdgeDropsPageUniformity: in a loop the index register's
 // interval widens across the back-edge until the access spans multiple
-// pages, so the loop block must carry no page-uniform range for it — and
-// the self-incremented index kills the same-key availability, so it is
-// not dominated either. The access stays resident (the whole interval is
-// inside the committed heap): the block-level claim is dropped without
-// touching the instruction-level one.
+// pages, so the loop block must carry no page-uniform range for it. The
+// access stays resident (the whole interval is inside the committed heap):
+// the block-level claim is dropped without touching the instruction-level
+// one.
 func TestFactBackEdgeDropsPageUniformity(t *testing.T) {
 	b := isa.NewBuilder(0)
 	b.MovImm(sfi.HeapBaseReg, testHeapBase) // 0
@@ -155,9 +91,6 @@ func TestFactBackEdgeDropsPageUniformity(t *testing.T) {
 	f := analyzeOK(t, p, sfi.GuardPages)
 	if f.Bits[2]&FactResident == 0 {
 		t.Error("loop access is bounded within the committed heap; want FactResident")
-	}
-	if f.Bits[2]&FactDominated != 0 {
-		t.Error("self-incremented index must kill same-key availability across the back-edge")
 	}
 	for _, blk := range f.Blocks {
 		for _, u := range blk.Uniform {
@@ -192,10 +125,10 @@ func TestFactBackEdgeDropsPageUniformity(t *testing.T) {
 
 // TestFactIndirectTargetDropsDomination: the CFG over-approximates an
 // indirect jump's successors with the whole address-taken set (every
-// symbol and every decoded code address). Even though execution only ever
-// reaches the repeated access through the first check, the spurious edge
-// from the dispatcher to the "mid" symbol makes the check non-dominating,
-// and the fact must be dropped.
+// symbol and every decoded code address). Execution only ever reaches
+// "mid" through "work", yet the dispatcher gets an edge to both and each
+// starts its own block — so no fact about "mid" may lean on "work" having
+// run, and none needs to: both accesses are resident on their own proofs.
 func TestFactIndirectTargetDropsDomination(t *testing.T) {
 	b := isa.NewBuilder(0)
 	b.MovImm(sfi.HeapBaseReg, testHeapBase) // 0
@@ -203,36 +136,34 @@ func TestFactIndirectTargetDropsDomination(t *testing.T) {
 	b.MovImm(isa.R3, 4*isa.InstrBytes)      // 2: address of "work"
 	b.JmpInd(isa.R3)                        // 3: succs = {work, mid}
 	b.Label("work")
-	b.Load(8, isa.R2, sfi.HeapBaseReg, isa.R1, 1, 0) // 4: check A
+	b.Load(8, isa.R2, sfi.HeapBaseReg, isa.R1, 1, 0) // 4
 	b.Jmp("mid")                                     // 5
 	b.Label("mid")
-	b.Load(8, isa.R4, sfi.HeapBaseReg, isa.R1, 1, 0) // 6: same key as A
+	b.Load(8, isa.R4, sfi.HeapBaseReg, isa.R1, 1, 0) // 6: same address as 4
 	b.Halt()                                         // 7
 	p := b.Build()
 
-	f := analyzeOK(t, p, sfi.GuardPages)
-	if f.Bits[6]&FactDominated != 0 {
-		t.Fatal("indirect over-approximation adds an edge bypassing the check; the dominated fact must drop")
+	g := BuildCFG(p)
+	work, mid := g.BlockAt(4), g.BlockAt(6)
+	if work < 0 || mid < 0 {
+		t.Fatalf("address-taken targets are not block leaders: work %d, mid %d", work, mid)
+	}
+	succ := map[int]bool{}
+	for _, s := range g.Blocks[g.BlockAt(0)].Succs {
+		succ[s] = true
+	}
+	if !succ[work] || !succ[mid] {
+		t.Fatalf("dispatcher succs = %v, want both work (%d) and mid (%d)", g.Blocks[g.BlockAt(0)].Succs, work, mid)
 	}
 
-	// Control: with a direct jump the dispatcher edge disappears and the
-	// same repeat access is dominated.
-	c := isa.NewBuilder(0)
-	c.MovImm(sfi.HeapBaseReg, testHeapBase) // 0
-	c.MovImm(isa.R1, 0x100)                 // 1
-	c.Jmp("work")                           // 2
-	c.Label("work")
-	c.Load(8, isa.R2, sfi.HeapBaseReg, isa.R1, 1, 0) // 3
-	c.Jmp("mid")                                     // 4
-	c.Label("mid")
-	c.Load(8, isa.R4, sfi.HeapBaseReg, isa.R1, 1, 0) // 5
-	c.Halt()                                         // 6
-	cf := analyzeOK(t, c.Build(), sfi.GuardPages)
-	if cf.Bits[5]&FactDominated == 0 {
-		t.Errorf("direct-jump control: repeat access not dominated (bits %#x)", cf.Bits[5])
+	f := analyzeOK(t, p, sfi.GuardPages)
+	for _, i := range []int{4, 6} {
+		if f.Bits[i]&FactResident == 0 {
+			t.Errorf("access %d lost its resident fact (bits %#x)", i, f.Bits[i])
+		}
 	}
-	if cf.Mem[5].DomSite != 3 {
-		t.Errorf("direct-jump control: DomSite = %d, want 3", cf.Mem[5].DomSite)
+	if r := auditRule(t, p, sfi.GuardPages, f); r != "" {
+		t.Errorf("audit rejected the genuine artifact: %s", r)
 	}
 }
 
@@ -240,9 +171,8 @@ func TestFactIndirectTargetDropsDomination(t *testing.T) {
 // a provable constant but NOT address-taken (no symbol or movi immediate
 // names it) must be rejected. The CFG's indirect successor edges only
 // cover the address-taken set, so admitting such a target would let
-// concrete execution enter a block mid-way with no edge witnessing it —
-// e.g. past a "dominating" check, whose FactDominated elision would then
-// silently skip the page decision for a check that never ran.
+// concrete execution enter a block mid-way with no edge witnessing it,
+// and every block-level fact is a claim about blocks entered at the top.
 func TestIndirectComputedTargetRejected(t *testing.T) {
 	build := func(call bool) *isa.Program {
 		b := isa.NewBuilder(0)
@@ -277,7 +207,7 @@ func TestIndirectComputedTargetRejected(t *testing.T) {
 
 	// Control: the same computed arithmetic landing ON an address-taken
 	// instruction (a symbol) stays admissible — the CFG edge exists, so
-	// the over-approximation holds and domination soundly drops.
+	// the over-approximation holds.
 	c := isa.NewBuilder(0)
 	c.MovImm(sfi.HeapBaseReg, testHeapBase)    // 0
 	c.MovImm(isa.R1, 0x100)                    // 1
@@ -318,7 +248,6 @@ func TestAuditFactsRejectsCorruption(t *testing.T) {
 		{"genuine artifact accepted", func(c *Facts) {}, ""},
 		{"widened interval", func(c *Facts) { c.Mem[2].EA.Hi += sfi.GuardReservation }, "fact-window"},
 		{"forged bit", func(c *Facts) { c.Bits[5] |= FactHostcall }, "fact-claim"},
-		{"bogus dominator witness", func(c *Facts) { c.Mem[4].DomSite = 0 }, "fact-dominated"},
 		{"tampered block cost", func(c *Facts) { c.Blocks[0].Cost.ALU++ }, "fact-block"},
 		{"shape mismatch", func(c *Facts) { c.Bits = c.Bits[:len(c.Bits)-1] }, "fact-shape"},
 		{"nil artifact", nil, "fact-shape"},

@@ -33,12 +33,11 @@ var ruleRegistry = map[string]string{
 	// Fact-audit rules (AuditFacts): a claimed Facts artifact failed the
 	// independent re-derivation. These mark tampered or stale proofs, not
 	// unsafe programs.
-	"fact-shape":     "facts artifact does not match the program's shape",
-	"fact-claim":     "claimed per-instruction fact not re-derivable",
-	"fact-window":    "claimed resident interval or window inconsistent with the geometry",
-	"fact-dominated": "claimed dominating check is not a dominator",
-	"fact-hostcall":  "claimed hostcall fact disagrees with the call-site proof",
-	"fact-block":     "claimed block fact not re-derivable",
+	"fact-shape":    "facts artifact does not match the program's shape",
+	"fact-claim":    "claimed per-instruction fact not re-derivable",
+	"fact-window":   "claimed resident interval or window inconsistent with the geometry",
+	"fact-hostcall": "claimed hostcall fact disagrees with the call-site proof",
+	"fact-block":    "claimed block fact not re-derivable",
 }
 
 // Rules returns the registered rule names, sorted. cmd/hfilint uses it as

@@ -238,8 +238,8 @@ type verification struct {
 	// addrTaken marks the instruction indices in IndirectTargets(p): the
 	// only targets an indirect branch may resolve to. Restricting resolved
 	// targets to this set keeps the CFG's indirect successor edges a true
-	// over-approximation of concrete control flow, which the dominator and
-	// availability passes behind FactDominated rely on.
+	// over-approximation of concrete control flow, which the block-level
+	// facts rely on.
 	addrTaken []bool
 
 	// fc collects per-instruction observations when set (Analyze); nil

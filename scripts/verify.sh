@@ -41,6 +41,11 @@
 # vet cannot express. A dedicated uncached -race pass over the verifier and
 # mutation packages closes the loop on the analysis code itself.
 #
+# Last, the benchmark module: benchmark/ has its own go.mod (the root
+# ./... patterns do not reach it) but imports this module's exported API,
+# so it is built and its smoke tests run here — without -race, which slows
+# the simulator until its open-loop workload sheds.
+#
 # Usage: scripts/verify.sh  (or `make verify`)
 set -eu
 cd "$(dirname "$0")/.."
@@ -68,4 +73,6 @@ echo "== go test -race -count=1 (uncached): verifier + mutation"
 go test -race -short -count=1 ./internal/verifier ./internal/mutation ./internal/lint
 echo "== hfiverify -mutate: verifier soundness bench (fast, incl. fact-corruption operators)"
 go run ./cmd/hfiverify -mutate
+echo "== benchmark module: build + smoke tests"
+(cd benchmark && go build -o /dev/null ./... && go test ./...)
 echo "verify: all green"
