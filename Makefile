@@ -59,10 +59,12 @@ soak:
 chaos:
 	go run ./cmd/hfiserve -requests 200 -chaos -seed 7 -dispatch 500us
 
-# Short deterministic open-loop sweeps gated on p99 vs the checked-in
-# baselines: single-host (scripts/loadtest_baseline.json) then the
-# cluster sweep over 3 real shard subprocesses
-# (scripts/cluster_baseline.json). Part of `make verify`.
+# Short deterministic open-loop sweeps through the one load harness
+# (internal/loadgen), gated by loadgen.CheckBaseline against the one
+# baseline, scripts/loadtest_baseline.json: the in-process leg, then the
+# cluster leg over 3 real shard subprocesses. Regenerate with
+# `scripts/loadtest.sh -check "" -json > scripts/loadtest_baseline.json`.
+# Part of `make verify`.
 loadtest:
 	sh scripts/loadtest.sh
 

@@ -10,6 +10,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -19,6 +20,7 @@ import (
 	"hfi/internal/faas"
 	"hfi/internal/hfi"
 	"hfi/internal/host"
+	"hfi/internal/loadgen"
 	"hfi/internal/nginxsim"
 	"hfi/internal/sfi"
 	"hfi/internal/spectre"
@@ -291,19 +293,19 @@ func BenchmarkServeThroughput(b *testing.B) {
 		counts = append(counts, g)
 	}
 	const total = 64
-	mix := host.DefaultMix()
+	reqs := host.BuildSchedule(host.DefaultMix(), total, 1)
 	for _, w := range counts {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s := host.New(host.Config{Workers: w, DispatchWall: 2 * time.Millisecond})
-				res := host.RunClosedLoop(s, mix, 2*w, total, 1)
+				pt, err := loadgen.Run(context.Background(), loadgen.InProcess(s), reqs, loadgen.Pacing{Clients: 2 * w})
 				s.Close()
-				if res.Summary.OK != total {
-					b.Fatalf("OK = %d, want %d", res.Summary.OK, total)
+				if err != nil || pt.OK != total {
+					b.Fatalf("OK = %d, want %d (err %v)", pt.OK, total, err)
 				}
-				b.ReportMetric(res.Summary.ThroughputRPS, "req/s")
-				b.ReportMetric(res.Summary.P99Ns/1e6, "p99-ms")
-				b.ReportMetric(res.Summary.ShedRate*100, "shed-%")
+				b.ReportMetric(pt.AchievedRPS, "req/s")
+				b.ReportMetric(pt.P99Ns/1e6, "p99-ms")
+				b.ReportMetric(pt.ShedRate*100, "shed-%")
 			}
 		})
 	}

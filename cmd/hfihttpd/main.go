@@ -22,33 +22,27 @@
 // outcomes, then the listener shuts down. Requests arriving after the
 // host closes get 503 + Retry-After.
 //
-// -selfdrive binds a loopback listener and drives it with the same
-// open-loop Poisson generator as `hfiserve -mode sweep`, but over real
-// HTTP — wire cost, status mapping, and client disconnects included; one
-// fresh server per offered rate. The table (and -json document) is the
-// p99-vs-rate hockey stick.
+// -selfdrive runs the load harness's open-loop sweep (internal/loadgen)
+// against this server over loopback HTTP — the same schedule source and
+// latency definition as `hfiserve -mode sweep`, plus wire cost and status
+// mapping; one fresh server per offered rate.
 package main
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
-	"strconv"
-	"strings"
+	"runtime"
 	"syscall"
 	"time"
 
 	"hfi/internal/cluster"
 	"hfi/internal/host"
 	"hfi/internal/httpfront"
-	"hfi/internal/stats"
+	"hfi/internal/loadgen"
 )
 
 func main() {
@@ -74,14 +68,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var pol host.Policy
-	switch *policy {
-	case "block":
-		pol = host.PolicyBlock
-	case "shed":
-		pol = host.PolicyShed
-	default:
-		fmt.Fprintf(os.Stderr, "hfihttpd: unknown policy %q\n", *policy)
+	pol, err := host.ParsePolicy(*policy, host.PolicyShed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hfihttpd:", err)
 		os.Exit(2)
 	}
 	cfg := host.Config{
@@ -98,16 +87,11 @@ func main() {
 	os.Exit(serve(cfg, *addr, *drainWait))
 }
 
-// registry is the shared default tenant set (see
-// httpfront.DefaultRegistry): the DefaultMix classes plus the hostcall
-// guests under one seeded world, and the "faulty" trap tenant.
-func registry() map[string]httpfront.Tenant { return httpfront.DefaultRegistry(1) }
-
 // serve runs the front until SIGINT/SIGTERM, then drains: healthz → 503,
 // wait for load balancers to notice, close the host (queued work finishes
 // with real outcomes), shut the listener down.
 func serve(cfg host.Config, addr string, drainWait time.Duration) int {
-	front := httpfront.New(host.New(cfg), registry())
+	front := httpfront.New(host.New(cfg), httpfront.DefaultRegistry(1))
 	hs := &http.Server{Addr: addr, Handler: front.Handler()}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -139,87 +123,27 @@ func serve(cfg host.Config, addr string, drainWait time.Duration) int {
 	return 0
 }
 
-// selfdriveReport is the -selfdrive -json document.
-type selfdriveReport struct {
-	Seed    int64             `json:"seed"`
-	Mode    string            `json:"mode"`
-	Policy  string            `json:"policy"`
-	Workers int               `json:"workers"`
-	Points  []host.SweepPoint `json:"points"`
-}
-
-// runSelfdrive sweeps offered rates over real HTTP: one fresh server,
-// front, and loopback listener per rate so queue state never bleeds
-// between points.
+// runSelfdrive sweeps offered rates over real HTTP: an equal-weight mix of
+// the registry's tenants against one fresh server, front and loopback
+// listener per rate.
 func runSelfdrive(cfg host.Config, rateList string, perRate int, seed int64, jsonOut bool) int {
-	var rates []float64
-	for _, f := range strings.Split(rateList, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		r, err := strconv.ParseFloat(f, 64)
-		if err != nil || r <= 0 {
-			fmt.Fprintf(os.Stderr, "hfihttpd: bad rate %q\n", f)
-			return 2
-		}
-		rates = append(rates, r)
+	rates, err := loadgen.ParseRates(rateList)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hfihttpd:", err)
+		return 2
 	}
-	sort.Float64s(rates)
-
-	reg := registry()
-	names := httpfront.RegistryNames(reg)
-
-	rep := selfdriveReport{Seed: seed, Mode: "selfdrive", Policy: cfg.Policy.String()}
-	for _, rate := range rates {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hfihttpd:", err)
-			return 1
-		}
-		front := httpfront.New(host.New(cfg), reg)
-		rep.Workers = front.Host().Workers()
-		hs := &http.Server{Handler: front.Handler()}
-		go hs.Serve(ln)
-
-		client := httpfront.NewClient("http://" + ln.Addr().String())
-		pt, err := httpfront.RunOpenLoopHTTP(client, names, rate, perRate, seed)
-		client.CloseIdle()
-
-		front.Host().Close()
-		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		hs.Shutdown(shutCtx)
-		cancel()
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintf(os.Stderr, "hfihttpd: sweep @ %.0f req/s: %v\n", rate, err)
-			return 1
-		}
-		rep.Points = append(rep.Points, pt)
+	if cfg.Workers <= 0 {
+		cfg.Workers = runtime.GOMAXPROCS(0) // host.New's default, resolved here so the label states it
 	}
-
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fmt.Fprintln(os.Stderr, "hfihttpd:", err)
-			return 1
-		}
-		return 0
+	reg := httpfront.DefaultRegistry(1)
+	reqs := host.BuildSchedule(httpfront.RegistryMix(reg), perRate, seed)
+	pts, err := loadgen.Sweep(context.Background(), func() (loadgen.Target, error) {
+		return loadgen.Shard(cfg, reg)
+	}, reqs, rates, seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hfihttpd:", err)
+		return 1
 	}
-	tb := &stats.Table{
-		Title:   fmt.Sprintf("open-loop HTTP sweep, %d workers (%d requests/rate, policy %s)", rep.Workers, perRate, cfg.Policy),
-		Columns: []string{"rate req/s", "achieved", "ok", "shed%", "p50", "p99", "p99.9"},
-	}
-	for _, pt := range rep.Points {
-		tb.AddRow(
-			fmt.Sprintf("%.0f", pt.RateRPS),
-			fmt.Sprintf("%.0f", pt.AchievedRPS),
-			strconv.FormatUint(pt.OK, 10),
-			fmt.Sprintf("%.1f", pt.ShedRate*100),
-			stats.Ns(pt.P50Ns), stats.Ns(pt.P99Ns), stats.Ns(pt.P999Ns),
-		)
-	}
-	tb.AddNote("real HTTP over loopback: latencies include wire + front overhead")
-	fmt.Println(tb)
-	return 0
+	leg := loadgen.Report{Target: "shard", Label: fmt.Sprintf("shard/%dw", cfg.Workers), Seed: seed, Points: pts}
+	return loadgen.Finish(os.Stdout, "hfihttpd", []loadgen.Report{leg}, jsonOut, "", 0)
 }

@@ -11,7 +11,7 @@
 //	hfirouter -shards 4                    # spawn 4 shards, serve on :8080
 //	hfirouter -shards 4 -shard-bin ./hfihttpd   # spawn a real hfihttpd binary
 //	hfirouter -selfdrive -shards 3         # cluster open-loop sweep, then exit
-//	hfirouter -selfdrive -json -check scripts/cluster_baseline.json
+//	hfirouter -selfdrive -json -check scripts/loadtest_baseline.json
 //
 // Routes (the same wire surface as a shard, plus shard admin):
 //
@@ -28,21 +28,18 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
 	"hfi/internal/cluster"
+	"hfi/internal/host"
 	"hfi/internal/httpfront"
-	"hfi/internal/stats"
+	"hfi/internal/loadgen"
 )
 
 func main() {
@@ -66,8 +63,8 @@ func main() {
 		rates     = flag.String("rates", "400,1200,2400", "offered rates for -selfdrive, req/s")
 		requests  = flag.Int("requests", 200, "requests per rate in -selfdrive")
 		jsonOut   = flag.Bool("json", false, "emit the -selfdrive result as JSON")
-		check     = flag.String("check", "", "baseline JSON to gate the -selfdrive sweep against")
-		tol       = flag.Float64("tol", 3.0, "p99 tolerance multiplier for -check")
+		check     = flag.String("check", "", "baseline (prior -selfdrive -json output) to gate the sweep against")
+		tol       = flag.Float64("tolerance", 5.0, "p99 multiplier allowed over the -check baseline")
 	)
 	flag.Parse()
 
@@ -129,61 +126,23 @@ func serve(opts cluster.LaunchOpts, addr string, drainWait time.Duration) int {
 	return 0
 }
 
+// runSelfdrive sweeps offered rates through the whole cluster: an
+// equal-weight mix of the registry's tenants against a fresh fleet per
+// rate, the fleet ledger settled at each (loadgen.Fleet).
 func runSelfdrive(opts cluster.LaunchOpts, rateList string, perRate int, seed int64, jsonOut bool, check string, tol float64) int {
-	var rates []float64
-	for _, f := range strings.Split(rateList, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		r, err := strconv.ParseFloat(f, 64)
-		if err != nil || r <= 0 {
-			fmt.Fprintf(os.Stderr, "hfirouter: bad rate %q\n", f)
-			return 2
-		}
-		rates = append(rates, r)
+	rates, err := loadgen.ParseRates(rateList)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hfirouter:", err)
+		return 2
 	}
-	sort.Float64s(rates)
-
-	names := httpfront.RegistryNames(httpfront.DefaultRegistry(1))
-	rep, err := cluster.RunSweep(opts, names, rates, perRate, seed)
+	reqs := host.BuildSchedule(httpfront.RegistryMix(httpfront.DefaultRegistry(1)), perRate, seed)
+	pts, err := loadgen.Sweep(context.Background(), func() (loadgen.Target, error) {
+		return loadgen.Fleet(opts)
+	}, reqs, rates, seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hfirouter:", err)
 		return 1
 	}
-
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fmt.Fprintln(os.Stderr, "hfirouter:", err)
-			return 1
-		}
-	} else {
-		tb := &stats.Table{
-			Title:   fmt.Sprintf("cluster open-loop sweep, %d shards (%d requests/rate)", rep.Shards, perRate),
-			Columns: []string{"rate req/s", "achieved", "ok", "shed%", "hit%", "p50", "p99", "p99.9"},
-		}
-		for _, pt := range rep.Points {
-			tb.AddRow(
-				fmt.Sprintf("%.0f", pt.RateRPS),
-				fmt.Sprintf("%.0f", pt.AchievedRPS),
-				strconv.FormatUint(pt.OK, 10),
-				fmt.Sprintf("%.1f", pt.ShedRate*100),
-				fmt.Sprintf("%.1f", pt.RoutingHitRate*100),
-				stats.Ns(pt.P50Ns), stats.Ns(pt.P99Ns), stats.Ns(pt.P999Ns),
-			)
-		}
-		tb.AddNote("real subprocess shards over loopback: fleet-wide conservation checked per point")
-		fmt.Println(tb)
-	}
-
-	if check != "" {
-		if err := cluster.CheckBaseline(rep, check, tol); err != nil {
-			fmt.Fprintln(os.Stderr, "hfirouter:", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "hfirouter: sweep within %.1fx of baseline %s\n", tol, check)
-	}
-	return 0
+	leg := loadgen.Report{Target: "cluster", Label: fmt.Sprintf("cluster/%ds", opts.N), Seed: seed, Points: pts}
+	return loadgen.Finish(os.Stdout, "hfirouter", []loadgen.Report{leg}, jsonOut, check, tol)
 }

@@ -9,8 +9,9 @@
 //	hfiserve -mode open -rate 2000     # Poisson-ish open loop at 2000 req/s
 //	hfiserve -mode sweep -policy shed  # open-loop rate sweep: the p99 hockey stick
 //	hfiserve -mode sweep -rates 200,400,800,1600 -requests 300 -json
+//	                                   # one loadgen.Report document per worker count
 //	hfiserve -mode sweep -check scripts/loadtest_baseline.json
-//	                                   # fail (exit 1) on p99 regression vs baseline
+//	                                   # fail (exit 1) against the baseline (loadgen.CheckBaseline)
 //	hfiserve -policy shed -queue 8     # shed instead of blocking when full
 //	hfiserve -fuel 200000              # per-request instruction budget
 //	hfiserve -verify                   # also check checksums vs single-threaded
@@ -31,6 +32,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -43,17 +45,18 @@ import (
 
 	"hfi/internal/chaos"
 	"hfi/internal/host"
+	"hfi/internal/loadgen"
 	"hfi/internal/stats"
 )
 
-// runReport is one worker-count run in the -json output.
+// runReport is one worker-count run in the -json output: the harness's
+// client-side point plus the server's own per-tenant and counter view.
 type runReport struct {
 	Workers  int                   `json:"workers"`
-	Summary  stats.ServeSummary    `json:"summary"`
+	Point    loadgen.Point         `json:"point"`
 	Tenants  []stats.TenantSummary `json:"tenants"`
 	Counters host.Counters         `json:"counters"`
 	Chaos    *chaos.Summary        `json:"chaos,omitempty"`
-	Elapsed  float64               `json:"elapsed_s"`
 }
 
 // report is the full -json document. Seed is echoed so a saved report can
@@ -71,15 +74,7 @@ type report struct {
 	// ChaosTotal aggregates the per-run per-class fault breakdowns across
 	// every worker count in the report.
 	ChaosTotal *chaos.Summary `json:"chaos_total,omitempty"`
-	Runs       []runReport    `json:"runs,omitempty"`
-	Sweeps     []sweepRun     `json:"sweeps,omitempty"`
-}
-
-// sweepRun is one worker count's open-loop rate sweep — the hockey-stick
-// curve at that capacity.
-type sweepRun struct {
-	Workers int               `json:"workers"`
-	Points  []host.SweepPoint `json:"points"`
+	Runs       []runReport    `json:"runs"`
 }
 
 func main() {
@@ -89,7 +84,7 @@ func main() {
 		queue    = flag.Int("queue", 0, "admission queue depth per tenant (0 = 2x workers)")
 		policy   = flag.String("policy", "block", "backpressure policy: block | shed")
 		fuel     = flag.Uint64("fuel", 0, "per-request instruction budget (0 = unlimited)")
-		mode     = flag.String("mode", "closed", "load generator: closed | open")
+		mode     = flag.String("mode", "closed", "load generator: closed | open | sweep")
 		clients  = flag.Int("clients", 0, "closed-loop clients (0 = 2x workers)")
 		rate     = flag.Float64("rate", 800, "open-loop arrival rate, req/s")
 		dispatch = flag.Duration("dispatch", 2*time.Millisecond, "wall-clock per-request dispatch overhead")
@@ -102,31 +97,31 @@ func main() {
 		poolCap  = flag.Int("pool", 0, "warm-instance pool cap per worker (0 = unbounded)")
 		breakWin = flag.Int("breaker-window", 0, "circuit-breaker outcome window per tenant (0 = disabled)")
 		rates    = flag.String("rates", "200,400,800,1200,1600,2400,3200", "offered rates for -mode sweep, req/s")
-		check    = flag.String("check", "", "baseline JSON (a prior -mode sweep -json) to gate p99 against")
-		tol      = flag.Float64("tolerance", 4.0, "p99 regression multiplier allowed vs -check baseline")
+		check    = flag.String("check", "", "baseline (prior -mode sweep -json output) to gate the sweep against")
+		tol      = flag.Float64("tolerance", 5.0, "p99 multiplier allowed over the -check baseline")
 	)
 	flag.Parse()
-
-	var pol host.Policy
-	switch *policy {
-	case "block":
-		pol = host.PolicyBlock
-	case "shed":
-		pol = host.PolicyShed
-	default:
-		fmt.Fprintf(os.Stderr, "hfiserve: unknown policy %q\n", *policy)
+	usage := func(err error) {
+		fmt.Fprintln(os.Stderr, "hfiserve:", err)
 		os.Exit(2)
 	}
 
+	switch *mode {
+	case "closed", "open", "sweep":
+	default:
+		usage(fmt.Errorf("unknown mode %q (want closed, open or sweep)", *mode))
+	}
+	pol, err := host.ParsePolicy(*policy, host.PolicyBlock)
+	if err != nil {
+		usage(err)
+	}
 	counts, err := parseWorkers(*workers)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hfiserve:", err)
-		os.Exit(2)
+		usage(err)
 	}
 	tenants, err := parseTenantWeights(*weights)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hfiserve:", err)
-		os.Exit(2)
+		usage(err)
 	}
 
 	// Resolve the chaos class selection up front: a bare -chaos enables
@@ -136,32 +131,59 @@ func main() {
 	chaosClasses := chaos.Classes()
 	if *chaosSel != "" {
 		if !*chaosOn {
-			fmt.Fprintln(os.Stderr, "hfiserve: -chaos-classes requires -chaos")
-			os.Exit(2)
+			usage(fmt.Errorf("-chaos-classes requires -chaos"))
 		}
 		keep, err := chaos.ParseClasses(*chaosSel)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "hfiserve:", err)
-			os.Exit(2)
+			usage(err)
 		}
 		chaosCfg = chaosCfg.Restrict(keep)
 		chaosClasses = keep
 	}
 
 	mix := host.DefaultMix()
-
-	if *mode == "sweep" {
-		rateList, err := parseRates(*rates)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hfiserve:", err)
-			os.Exit(2)
+	reqs := host.BuildSchedule(mix, *requests, *seed)
+	ctx := context.Background()
+	// A fresh injector per server so each run's fault summary is
+	// attributable; decisions depend only on (seed, tenant, seq), so every
+	// run still sees the same fault schedule.
+	newServer := func(w int) (*host.Server, *chaos.Injector) {
+		var inj *chaos.Injector
+		if *chaosOn {
+			inj = chaos.New(chaosCfg)
 		}
-		os.Exit(runSweep(sweepOpts{
-			counts: counts, mix: mix, pol: pol, queue: *queue, fuel: *fuel,
-			dispatch: *dispatch, tenants: tenants, rates: rateList,
-			perRate: *requests, seed: *seed, jsonOut: *jsonOut,
-			checkPath: *check, tol: *tol,
-		}))
+		return host.New(host.Config{
+			Workers: w, QueueDepth: *queue, Policy: pol,
+			Fuel: *fuel, DispatchWall: *dispatch,
+			Tenants: tenants,
+			Retry:   host.RetryConfig{Max: 2},
+			Breaker: host.BreakerConfig{Window: *breakWin},
+			Pool:    host.PoolConfig{Cap: *poolCap},
+			Chaos:   inj, Seed: *seed,
+		}), inj
+	}
+
+	// The open-loop latency-vs-offered-load curve per worker count — the
+	// hockey stick: p99 flat while the offered rate sits below capacity,
+	// then exploding (PolicyBlock) or flattening into shed (PolicyShed).
+	if *mode == "sweep" {
+		rateList, err := loadgen.ParseRates(*rates)
+		if err != nil {
+			usage(err)
+		}
+		var legs []loadgen.Report
+		for _, w := range counts {
+			pts, err := loadgen.Sweep(ctx, func() (loadgen.Target, error) {
+				s, _ := newServer(w)
+				return loadgen.InProcess(s), nil
+			}, reqs, rateList, *seed)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "hfiserve:", err)
+				os.Exit(1)
+			}
+			legs = append(legs, loadgen.Report{Target: "inproc", Label: fmt.Sprintf("inproc/%dw", w), Seed: *seed, Points: pts})
+		}
+		os.Exit(loadgen.Finish(os.Stdout, "hfiserve", legs, *jsonOut, *check, *tol))
 	}
 
 	// Checksum comparison needs every request to execute exactly once:
@@ -195,52 +217,35 @@ func main() {
 	var base float64
 	var lastTenants []stats.TenantSummary
 	for _, w := range counts {
-		var inj *chaos.Injector
-		if *chaosOn {
-			// A fresh injector per run so the per-run fault summary is
-			// attributable; decisions depend only on (seed, tenant, seq), so
-			// every run still sees the same fault schedule.
-			inj = chaos.New(chaosCfg)
-		}
-		s := host.New(host.Config{
-			Workers: w, QueueDepth: *queue, Policy: pol,
-			Fuel: *fuel, DispatchWall: *dispatch,
-			Tenants: tenants,
-			Retry:   host.RetryConfig{Max: 2},
-			Breaker: host.BreakerConfig{Window: *breakWin},
-			Pool:    host.PoolConfig{Cap: *poolCap},
-			Chaos:   inj, Seed: *seed,
-		})
-		var res host.LoadResult
-		if *mode == "open" {
-			res = host.RunOpenLoop(s, mix, *rate, *requests, *seed)
-		} else {
-			nc := *clients
-			if nc <= 0 {
-				nc = 2 * w
+		pacing := loadgen.Pacing{Rate: *rate, Seed: *seed}
+		if *mode == "closed" {
+			pacing = loadgen.Pacing{Clients: *clients}
+			if pacing.Clients <= 0 {
+				pacing.Clients = 2 * w
 			}
-			res = host.RunClosedLoop(s, mix, nc, *requests, *seed)
 		}
+		s, inj := newServer(w)
+		pt, err := loadgen.Run(ctx, loadgen.InProcess(s), reqs, pacing)
 		s.Close()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "hfiserve: %d workers: %v\n", w, err)
+			os.Exit(1)
+		}
 
-		sum := res.Summary
 		if base == 0 {
-			base = sum.ThroughputRPS
+			base = pt.AchievedRPS
 		}
 		tb.AddRow(
 			strconv.Itoa(w),
-			fmt.Sprintf("%.0f", sum.ThroughputRPS),
-			stats.Ns(sum.P50Ns), stats.Ns(sum.P99Ns), stats.Ns(sum.P999Ns),
-			fmt.Sprintf("%.1f", sum.ShedRate*100),
-			strconv.FormatUint(sum.Timeouts, 10),
-			strconv.FormatUint(sum.Faults, 10),
-			fmt.Sprintf("%.2fx", sum.ThroughputRPS/base),
+			fmt.Sprintf("%.0f", pt.AchievedRPS),
+			stats.Ns(pt.P50Ns), stats.Ns(pt.P99Ns), stats.Ns(pt.P999Ns),
+			fmt.Sprintf("%.1f", pt.ShedRate*100),
+			strconv.FormatUint(pt.Timeouts, 10),
+			strconv.FormatUint(pt.Faults, 10),
+			fmt.Sprintf("%.2fx", pt.AchievedRPS/base),
 		)
 		lastTenants = s.TenantSummaries()
-		rr := runReport{
-			Workers: w, Summary: sum, Tenants: lastTenants,
-			Counters: s.Counters(), Elapsed: res.Elapsed.Seconds(),
-		}
+		rr := runReport{Workers: w, Point: pt, Tenants: lastTenants, Counters: s.Counters()}
 		if inj != nil {
 			cs := inj.Snapshot()
 			rr.Chaos = &cs
@@ -248,8 +253,8 @@ func main() {
 		}
 		rep.Runs = append(rep.Runs, rr)
 		if verifiable {
-			if res.Checksum != ref {
-				fmt.Fprintf(os.Stderr, "hfiserve: %d workers: checksum %#x != single-threaded reference %#x\n", w, res.Checksum, ref)
+			if pt.Checksum != ref {
+				fmt.Fprintf(os.Stderr, "hfiserve: %d workers: checksum %#x != single-threaded reference %#x\n", w, pt.Checksum, ref)
 				os.Exit(1)
 			}
 		}

@@ -2,11 +2,9 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"sync"
 	"testing"
 	"time"
@@ -14,14 +12,6 @@ import (
 	"hfi/internal/chaos"
 	"hfi/internal/httpfront"
 )
-
-func writeJSONFile(path string, v any) error {
-	raw, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, raw, 0o644)
-}
 
 // launchTest spawns a real subprocess fleet (the test binary re-execing
 // itself — see TestMain) fronted by a fresh router.
@@ -54,8 +44,13 @@ func serveRouter(t *testing.T, rt *Router) *httpfront.Client {
 	return c
 }
 
+// tenantNames lists what the load harness would offer a default shard.
 func tenantNames() []string {
-	return httpfront.RegistryNames(httpfront.DefaultRegistry(1))
+	var names []string
+	for _, c := range httpfront.RegistryMix(httpfront.DefaultRegistry(1)) {
+		names = append(names, c.Tenant.Name)
+	}
+	return names
 }
 
 // settleLedger retries the scrape+check loop until every live shard's
@@ -521,46 +516,5 @@ func TestClusterChaosSoak(t *testing.T) {
 	snap := inj.Snapshot()
 	if snap.ShardKill == 0 || snap.Partition == 0 {
 		t.Fatalf("chaos summary %+v, want both cluster classes fired", snap)
-	}
-}
-
-// TestRunSweepAndBaseline runs one cluster sweep point end-to-end (fresh
-// 3-shard fleet, open-loop Poisson load, fleet conservation inside
-// RunSweep) and exercises the baseline gate in both directions.
-func TestRunSweepAndBaseline(t *testing.T) {
-	names := tenantNames()
-	opts := LaunchOpts{N: 3, Shard: ShardSpec{Workers: 2, QueueDepth: 32, Seed: 7}}
-	rep, err := RunSweep(opts, names, []float64{800}, 120, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Points) != 1 || rep.Mode != "cluster-sweep" || rep.Shards != 3 {
-		t.Fatalf("report %+v, want one cluster-sweep point over 3 shards", rep)
-	}
-	pt := rep.Points[0]
-	if pt.OK == 0 {
-		t.Fatalf("sweep point has no successes: %+v", pt)
-	}
-	if pt.Shards != 3 {
-		t.Fatalf("point shards %d, want 3", pt.Shards)
-	}
-	if pt.RoutingHitRate <= 0 {
-		t.Fatalf("no warm routing hits in the sweep: %+v", pt)
-	}
-
-	// Self-baseline: the report gates cleanly against itself...
-	path := t.TempDir() + "/cluster_baseline.json"
-	if err := writeJSONFile(path, rep); err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckBaseline(rep, path, 3.0); err != nil {
-		t.Fatalf("self-baseline failed: %v", err)
-	}
-	// ...and a regressed p99 trips the gate.
-	bad := rep
-	bad.Points = append([]SweepPoint(nil), rep.Points...)
-	bad.Points[0].P99Ns *= 100
-	if err := CheckBaseline(bad, path, 3.0); err == nil {
-		t.Fatal("100x p99 regression passed the baseline gate")
 	}
 }

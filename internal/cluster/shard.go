@@ -49,10 +49,10 @@ type ShardSpec struct {
 }
 
 // hostConfig translates the spec into the shard's host.Config.
-func (sp ShardSpec) hostConfig() host.Config {
-	pol := host.PolicyShed
-	if sp.Policy == "block" {
-		pol = host.PolicyBlock
+func (sp ShardSpec) hostConfig() (host.Config, error) {
+	pol, err := host.ParsePolicy(sp.Policy, host.PolicyShed)
+	if err != nil {
+		return host.Config{}, err
 	}
 	return host.Config{
 		Workers: sp.Workers, QueueDepth: sp.QueueDepth, Policy: pol,
@@ -61,7 +61,7 @@ func (sp ShardSpec) hostConfig() host.Config {
 		Retry:        host.RetryConfig{Max: 2},
 		Breaker:      host.BreakerConfig{Window: sp.BreakerWindow, MinSamples: sp.BreakerMinSamples},
 		Seed:         sp.Seed,
-	}
+	}, nil
 }
 
 // IsShardProc reports whether this process was spawned as a shard.
@@ -79,12 +79,19 @@ func ShardMain() int {
 		fmt.Fprintf(os.Stderr, "shard: bad %s: %v\n", ShardEnv, err)
 		return 2
 	}
+	// A spec this shard cannot honour fails the spawn handshake (no
+	// address is ever published) instead of serving with other settings.
+	cfg, err := spec.hostConfig()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "shard:", err)
+		return 2
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "shard:", err)
 		return 1
 	}
-	front := httpfront.New(host.New(spec.hostConfig()), httpfront.DefaultRegistry(spec.WorldSeed))
+	front := httpfront.New(host.New(cfg), httpfront.DefaultRegistry(spec.WorldSeed))
 	front.Shard = spec.Name
 	hs := &http.Server{Handler: front.Handler()}
 	errc := make(chan error, 1)

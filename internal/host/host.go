@@ -99,6 +99,20 @@ func (p Policy) String() string {
 	}
 }
 
+// ParsePolicy reads a backpressure policy as the CLIs and the shard spec
+// spell it: "block" or "shed"; "" yields def, anything else is an error.
+func ParsePolicy(s string, def Policy) (Policy, error) {
+	switch s {
+	case "":
+		return def, nil
+	case "block":
+		return PolicyBlock, nil
+	case "shed":
+		return PolicyShed, nil
+	}
+	return 0, fmt.Errorf("unknown policy %q (want block or shed)", s)
+}
+
 // TenantPolicy is one tenant's admission configuration: its DRR weight,
 // its queue bound, and what happens when that queue is full. Zero fields
 // inherit the server defaults.

@@ -567,20 +567,3 @@ func TestKVSessionTwoWorkers(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-// TestOpenLoopHTTPGenerator: the HTTP open-loop generator produces a
-// conserving sweep point against a live front through the typed client.
-func TestOpenLoopHTTPGenerator(t *testing.T) {
-	_, c := newFront(t, host.Config{Workers: 2, QueueDepth: 4, Policy: host.PolicyShed})
-	pt, err := RunOpenLoopHTTP(c, []string{"html", "xml"}, 500, 50, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	accounted := pt.OK + pt.Timeouts + pt.Faults + pt.Shed + pt.Rejected + pt.Canceled
-	if accounted != 50 {
-		t.Fatalf("generator accounted %d of 50: %+v", accounted, pt)
-	}
-	if pt.OK == 0 {
-		t.Fatalf("no successes at moderate load: %+v", pt)
-	}
-}

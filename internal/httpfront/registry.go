@@ -32,18 +32,21 @@ func DefaultRegistry(worldSeed int64) map[string]Tenant {
 	return reg
 }
 
-// RegistryNames returns reg's tenant names sorted — the stable round-robin
-// order load generators draw from. The "faulty" trap tenant is excluded:
-// sweeps and baselines measure the healthy serving path, and faults there
-// are driven explicitly by tests.
-func RegistryNames(reg map[string]Tenant) []string {
-	names := make([]string, 0, len(reg))
-	for name := range reg {
+// RegistryMix is the traffic the load harness offers a front: one
+// equal-weight class per registered tenant, in name order, so the schedule
+// drawn over it is the same for every server built from the same registry.
+// The "faulty" trap tenant is excluded: sweeps and baselines measure the
+// healthy serving path, and faults there are driven explicitly by tests.
+func RegistryMix(reg map[string]Tenant) []host.Class {
+	mix := make([]host.Class, 0, len(reg))
+	for name, te := range reg {
 		if name == "faulty" {
 			continue
 		}
-		names = append(names, name)
+		w := te.Workload
+		w.Name = name
+		mix = append(mix, host.Class{Weight: 1, Tenant: w, Iso: te.Iso})
 	}
-	sort.Strings(names)
-	return names
+	sort.Slice(mix, func(i, j int) bool { return mix[i].Tenant.Name < mix[j].Tenant.Name })
+	return mix
 }

@@ -1,48 +1,47 @@
 #!/bin/sh
 # loadtest.sh — short deterministic open-loop load gate (`make loadtest`).
 #
-# Two sweeps, both built-in generators (seeded Poisson arrivals, no
-# external tools), both gated on p99 vs a checked-in baseline:
+# Two legs of the one load harness (internal/loadgen: seeded Poisson
+# arrivals, latency = completion − scheduled due time), both checked
+# against the one baseline:
 #
-#   1. Single-host: hfiserve -mode sweep at three offered rates —
-#      comfortably below, around, and far past one/two-worker capacity.
-#   2. Cluster: hfirouter -selfdrive drives the same open-loop sweep
-#      through the consistent-hash router over 3 real shard subprocesses,
-#      one fresh cluster per rate point, with exact fleet-wide outcome
-#      conservation (Σ shard delivered == router admitted) checked at
-#      every point.
+#   1. inproc/2w   hfiserve -mode sweep: the host alone, below, around and
+#                  far past two-worker capacity.
+#   2. cluster/3s  hfirouter -selfdrive: the same harness through the
+#                  router over 3 real shard subprocesses, a fresh fleet per
+#                  rate, the fleet ledger (Σ shard admitted == router
+#                  delivered) settled at every point.
 #
-# Either gate fails if any point's p99 exceeds its baseline by more than
-# the tolerance, if the outcome ledger does not conserve exactly, or if
-# any rate serves zero successes.
+# loadgen.CheckBaseline fails a leg when a label@rate point is missing from
+# the baseline (so editing a rate, the worker count or the shard count
+# below fails the gate until the baseline is regenerated), when the
+# schedule hash or per-tenant offered counts differ, when the ledger does
+# not conserve, when a rate serves nothing, when the lowest rate — below
+# the knee by construction — serves less than everything, or when p99
+# exceeds TOL × the baseline's.
 #
-# The tolerance is a multiplier (default 4x single-host, 3x cluster), not
-# a percentage: wall-clock latency on shared CI hardware is noisy, and a
-# real regression — an accidental lock across dispatch, a lost fast
-# path — shows up as a multiple. PolicyShed keeps p99 bounded at the
-# overloaded point, so the gate stays meaningful past the knee.
+# TOL comes from the measured spread of the baseline itself (EXPERIMENTS.md,
+# "Load-gate tolerance"): over 12 regenerations the worst point's p99
+# (cluster/3s@300, a cold-start measurement at 120 requests) ranged 4.8×
+# max/min, so at 5× any one regeneration is a usable baseline for any other
+# run. What the gate exists to catch — a lock held across dispatch, a lost
+# warm path — moves p99 by more than that; everything a fixed seed makes
+# exact is checked exactly instead.
 #
-# Regenerate the baselines after an intentional perf change (-check ""
-# disables the gate for the recording run):
+# Regenerate after an intentional change:
 #   scripts/loadtest.sh -check "" -json > scripts/loadtest_baseline.json
-#   go run ./cmd/hfirouter -selfdrive -shards 3 -rates 300,900 \
-#       -requests 120 -seed 1 -json -check "" > scripts/cluster_baseline.json
 #
-# Usage: scripts/loadtest.sh [extra hfiserve flags for the single-host leg]
+# Usage: scripts/loadtest.sh [flags appended to both invocations]
 set -eu
 cd "$(dirname "$0")/.."
+BASE=scripts/loadtest_baseline.json
+TOL=5
 
 go run ./cmd/hfiserve -mode sweep \
-	-workers 2 \
-	-rates 300,900,2500 \
-	-requests 120 \
+	-workers 2 -rates 300,900,2500 -requests 120 \
 	-policy shed -queue 16 -dispatch 300us -seed 1 \
-	-check scripts/loadtest_baseline.json \
-	"$@"
+	-check "$BASE" -tolerance "$TOL" "$@"
 
-exec go run ./cmd/hfirouter -selfdrive \
-	-shards 3 \
-	-rates 300,900 \
-	-requests 120 \
-	-seed 1 \
-	-check scripts/cluster_baseline.json
+go run ./cmd/hfirouter -selfdrive \
+	-shards 3 -rates 300,900 -requests 120 -seed 1 \
+	-check "$BASE" -tolerance "$TOL" "$@"

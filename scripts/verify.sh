@@ -19,12 +19,14 @@
 # a hot-tenant flood, bounded warm pools (`make soak` runs just this).
 #
 # Then the fast load gate: two short deterministic open-loop sweeps
-# (built-in Poisson generator) whose p99 must stay within tolerance of a
-# checked-in baseline at every point, with exact outcome conservation —
-# single-host (hfiserve -mode sweep) and the cluster tier (hfirouter
-# -selfdrive: 3 real shard subprocesses behind the consistent-hash
-# router, fleet-wide conservation per point). `make loadtest` runs just
-# this; the race pass above already covers the cluster chaos soak
+# through the one load harness (internal/loadgen), checked against the one
+# baseline scripts/loadtest_baseline.json — the in-process leg (hfiserve
+# -mode sweep) and the cluster leg (hfirouter -selfdrive: 3 real shard
+# subprocesses behind the consistent-hash router, fleet ledger settled
+# per point). Every point must exist in the baseline with the same
+# schedule hash and per-tenant offered counts, conserve, and serve
+# everything at the lowest rate; p99 is a tolerance. `make loadtest` runs
+# just this; the race pass above already covers the cluster chaos soak
 # (shard SIGKILL + router↔shard partitions) via ./internal/cluster.
 #
 # After the tests, the static-verifier gate: hfiverify proves every corpus
@@ -60,7 +62,7 @@ echo "== go test -race -short ./..."
 go test -race -short -timeout 15m ./...
 echo "== chaos soaks: serving + substrate (seeded, race-detected)"
 go test -race -short -count=1 -run 'TestChaosSoak' ./internal/host
-echo "== loadtest: open-loop p99 gate vs baseline (fast)"
+echo "== loadtest: open-loop sweeps vs scripts/loadtest_baseline.json (fast)"
 sh scripts/loadtest.sh >/dev/null
 echo "== hfiverify: corpus under all schemes"
 go run ./cmd/hfiverify
