@@ -18,8 +18,10 @@ vet:
 race:
 	go test -race ./...
 
-# Full verification gate: build + vet + race-detected test suite + the
-# static-verifier corpus sweep and mutation bench.
+# Full verification gate: build + vet + race-detected test suite (with the
+# zero-alloc gates: interpreter, tier, hostcall round trip, ledger record)
+# + a 10 s FuzzHistogram smoke + the static-verifier corpus sweep and
+# mutation bench.
 verify:
 	sh scripts/verify.sh
 

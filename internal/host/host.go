@@ -37,9 +37,12 @@
 //
 // Per-request deadlines ride on the engines' existing instruction budget
 // ("fuel"): a request that exhausts its budget stops with cpu.StopLimit and
-// is surfaced as StatusTimeout. Latencies and outcomes feed a
-// stats.Recorder (p50/p99/p999, throughput, shed rate) with a per-tenant
-// breakdown, so fairness and breaker behaviour are observable.
+// is surfaced as StatusTimeout. Each request makes one entry in a
+// stats.Recorder — the shard ledger: one row per tenant holding its
+// outcome, host-call, tier and substrate counts and a fixed-size latency
+// histogram, with shard totals (p50/p99/p999, throughput, shed rate)
+// derived by summing rows — so fairness and breaker behaviour are
+// observable.
 //
 // Submission is context-aware: Submit(ctx, req) resolves StatusCanceled the
 // moment ctx is cancelled while the request still sits in its DRR tenant
@@ -392,10 +395,11 @@ type Server struct {
 	wg      sync.WaitGroup
 	started time.Time
 
+	// admitted is deliberately not in the ledger: it is the other side of
+	// the conservation identity (admitted == Σ outcomes), counted where a
+	// request enters, not where it resolves.
 	admitted   atomic.Uint64
 	coldStarts atomic.Uint64
-	rejected   atomic.Uint64
-	canceled   atomic.Uint64
 	retries    atomic.Uint64
 	quarantine atomic.Uint64
 	discarded  atomic.Uint64
@@ -404,15 +408,6 @@ type Server struct {
 	closedRefs atomic.Uint64
 	poolSize   atomic.Int64
 	poolHigh   atomic.Int64
-
-	tierPromoted atomic.Uint64
-	tierInstrs   atomic.Uint64
-	tierInterp   atomic.Uint64
-
-	subInjected  atomic.Uint64
-	subDetected  atomic.Uint64
-	subRecovered atomic.Uint64
-	subBenign    atomic.Uint64
 }
 
 // New starts a server with cfg.Workers goroutines waiting on the
@@ -493,7 +488,6 @@ func (s *Server) Submit(ctx context.Context, req Request) <-chan Response {
 	tq := sc.tenant(name)
 	if !tq.br.allow(time.Now()) {
 		s.admitted.Add(1)
-		s.rejected.Add(1)
 		s.rec.RecordTenant(name, stats.OutcomeShed, 0)
 		c.state = callDone
 		sc.mu.Unlock()
@@ -504,7 +498,6 @@ func (s *Server) Submit(ctx context.Context, req Request) <-chan Response {
 	if tq.pol.Policy == PolicyShed {
 		if tq.qlen() >= tq.pol.QueueDepth {
 			s.admitted.Add(1)
-			s.rejected.Add(1)
 			s.rec.RecordTenant(name, stats.OutcomeShed, 0)
 			c.state = callDone
 			sc.mu.Unlock()
@@ -602,7 +595,6 @@ func (s *Server) cancelCall(c *call) {
 // lock.
 func (s *Server) resolveCanceledLocked(c *call) {
 	c.state = callDone
-	s.canceled.Add(1)
 	s.rec.RecordTenant(c.req.Tenant.Name, stats.OutcomeCanceled, 0)
 	c.done <- Response{Status: StatusCanceled, Err: context.Cause(c.ctx), Latency: time.Since(c.t0)}
 }
@@ -630,6 +622,15 @@ func (s *Server) TenantSummaries() []stats.TenantSummary {
 	return s.rec.TenantSummaries()
 }
 
+// Ledger returns the serve summary, the per-tenant rows and the counters
+// cut from one copy of the ledger: serve is exactly the sum of tenants, and
+// the counters' ledger-derived fields are exactly serve's. This is what
+// /statsz serves.
+func (s *Server) Ledger(elapsed time.Duration) (stats.ServeSummary, []stats.TenantSummary, Counters) {
+	serve, tenants := s.rec.Ledger(float64(elapsed.Nanoseconds()))
+	return serve, tenants, s.counters(serve.Counts)
+}
+
 // BreakerStatus is one tenant's circuit-breaker state as surfaced on the
 // wire (/statsz): the state machine position plus lifetime trips. Tenants
 // whose breaker is disabled (BreakerConfig.Window == 0) are omitted.
@@ -645,17 +646,6 @@ type BreakerStatus struct {
 func (s *Server) BreakerStates() []BreakerStatus {
 	return s.sched.breakerStates()
 }
-
-// ColdStarts counts instance provisionings (pool misses) so far.
-func (s *Server) ColdStarts() uint64 { return s.coldStarts.Load() }
-
-// Rejected counts admissions refused with StatusShed — queue-full sheds
-// under PolicyShed plus circuit-breaker sheds. The 429 counter.
-func (s *Server) Rejected() uint64 { return s.rejected.Load() }
-
-// Canceled counts requests resolved StatusCanceled: cancelled or past
-// deadline while waiting, unlinked without occupying a worker.
-func (s *Server) Canceled() uint64 { return s.canceled.Load() }
 
 // Admitted counts requests that entered outcome accounting: every Submit
 // that did not hit a closed server. Conservation invariant:
@@ -690,18 +680,29 @@ type Counters struct {
 	LoweringMisses     uint64 `json:"lowering_misses"`
 
 	// Substrate is the substrate chaos accounting across all workers
-	// (identical to the stats.Recorder global totals; conservation:
-	// Injected == Detected + Benign and Recovered == Detected).
+	// (conservation: Injected == Detected + Benign and Recovered ==
+	// Detected).
 	Substrate stats.SubstrateCounters `json:"substrate"`
 }
 
 // Counters snapshots the robustness counters.
 func (s *Server) Counters() Counters {
+	_, _, c := s.Ledger(0)
+	return c
+}
+
+// counters fills Shed, Canceled, the tier fields and Substrate from the
+// ledger totals led — the ledger is their only home — and the rest from
+// the server's own gauges. led was read before Admitted is loaded here, and
+// a request is counted admitted before it is recorded, so
+// led.Admitted() <= Counters.Admitted in every snapshot, with equality once
+// every submitted request has resolved.
+func (s *Server) counters(led stats.Counts) Counters {
 	c := Counters{
 		Admitted:          s.admitted.Load(),
 		ColdStarts:        s.coldStarts.Load(),
-		Shed:              s.rejected.Load(),
-		Canceled:          s.canceled.Load(),
+		Shed:              led.Shed,
+		Canceled:          led.Canceled,
 		ClosedRejects:     s.closedRefs.Load(),
 		ProvisionRetries:  s.retries.Load(),
 		Quarantined:       s.quarantine.Load(),
@@ -712,16 +713,11 @@ func (s *Server) Counters() Counters {
 		PoolHighWater:     s.poolHigh.Load(),
 		BreakerTrips:      s.sched.breakerTrips(),
 
-		TierPromotedBlocks: s.tierPromoted.Load(),
-		TierInstrs:         s.tierInstrs.Load(),
-		TierInterpInstrs:   s.tierInterp.Load(),
+		TierPromotedBlocks: led.Tier.PromotedBlocks,
+		TierInstrs:         led.Tier.TieredInstrs,
+		TierInterpInstrs:   led.Tier.InterpInstrs,
 
-		Substrate: stats.SubstrateCounters{
-			Injected:  s.subInjected.Load(),
-			Detected:  s.subDetected.Load(),
-			Recovered: s.subRecovered.Load(),
-			Benign:    s.subBenign.Load(),
-		},
+		Substrate: led.Substrate,
 	}
 	c.LoweringHits, c.LoweringMisses = faas.Images.LoweringStats()
 	return c
@@ -762,16 +758,18 @@ func (s *Server) worker(id int) {
 		if !ok {
 			break
 		}
-		resp := s.serveOne(id, pool, rng, c)
+		var d stats.Counts
+		resp := s.serveOne(id, pool, rng, c, &d)
 		resp.Latency = time.Since(c.t0)
-		s.finish(c, resp)
+		s.finish(c, resp, d)
 	}
 	pool.drain()
 }
 
-// finish records the outcome (globally and per tenant), feeds the
-// tenant's circuit breaker, and resolves the caller's channel.
-func (s *Server) finish(c *call, resp Response) {
+// finish makes the request's one ledger entry — its outcome, latency and
+// the host-call/tier/substrate traffic d that serveOne harvested — feeds
+// the tenant's circuit breaker, and resolves the caller's channel.
+func (s *Server) finish(c *call, resp Response, d stats.Counts) {
 	name := c.req.Tenant.Name
 	lat := float64(resp.Latency.Nanoseconds())
 	var o stats.Outcome
@@ -788,7 +786,7 @@ func (s *Server) finish(c *call, resp Response) {
 		o = stats.OutcomeFault
 		failed = true
 	}
-	s.rec.RecordTenant(name, o, lat)
+	s.rec.RecordRequest(name, o, lat, d)
 	if o != stats.OutcomeRejected {
 		// Rejections never probed the tenant's runtime health; everything
 		// else updates the breaker window.
@@ -809,8 +807,10 @@ var chaosGarbage = func() []byte {
 
 // serveOne runs one request on the worker's warm instance for its
 // (tenant, config), provisioning (with retry) on pool miss and
-// quarantining the instance on any abnormal stop.
-func (s *Server) serveOne(id int, pool *instPool, rng *rand.Rand, c *call) Response {
+// quarantining the instance on any abnormal stop. The traffic the request
+// generated below the outcome — host calls, tier retirement, substrate
+// accounting — accumulates into d for finish to record.
+func (s *Server) serveOne(id int, pool *instPool, rng *rand.Rand, c *call, d *stats.Counts) Response {
 	req := c.req
 	name := req.Tenant.Name
 	seq := int(req.Seq)
@@ -853,12 +853,15 @@ func (s *Server) serveOne(id int, pool *instPool, rng *rand.Rand, c *call) Respo
 		} else {
 			body, res = ent.ti.ServeRequest(seq, fuel)
 		}
-		s.harvestHostcalls(name, ent.ti)
-		s.harvestTier(name, ent.ti)
+		if env := ent.ti.Env; env != nil {
+			hc := &d.Hostcalls
+			hc.Calls, hc.BytesIn, hc.BytesOut, hc.QuotaRejects = env.TakeCounters()
+		}
+		d.Tier = ent.ti.TierCountersDelta()
 	}
 	switch res.Reason {
 	case cpu.StopHalt:
-		if layer, bad := s.substrateStage(pool, ent, req); bad {
+		if layer, bad := s.substrateStage(ent, req, &d.Substrate); bad {
 			// A substrate audit fired: the instance's below-the-seams state
 			// is corrupt. Quarantine it (Reset + verified-reset check, same
 			// contract as a guest fault) and fold the request into the fault
@@ -901,16 +904,16 @@ func (s *Server) serveOne(id int, pool *instPool, rng *rand.Rand, c *call) Respo
 // makes the soak's detection counts exactly predictable.
 //
 // Returns the first audit layer that fired and whether any did; the
-// caller quarantines on detection. Counter conservation, maintained here
-// and asserted by the soak: Injected == Detected + Benign per class
+// caller quarantines on detection. The accounting accumulates into sc,
+// which finish records with the request. Counter conservation, maintained
+// here and asserted by the soak: Injected == Detected + Benign per class
 // sum, and Recovered == Detected (every detection completes recovery).
-func (s *Server) substrateStage(pool *instPool, ent *poolEntry, req Request) (string, bool) {
+func (s *Server) substrateStage(ent *poolEntry, req Request, sc *stats.SubstrateCounters) (string, bool) {
 	inj := s.cfg.Chaos
 	name := req.Tenant.Name
 	seq := int(req.Seq)
 	ti := ent.ti
 	m := ti.RT.M
-	var sc stats.SubstrateCounters
 	layer := ""
 	detect := func(l string) {
 		sc.Detected++
@@ -1012,42 +1015,7 @@ func (s *Server) substrateStage(pool *instPool, ent *poolEntry, req Request) (st
 		sc.Benign++
 	}
 
-	if sc == (stats.SubstrateCounters{}) {
-		return "", false
-	}
-	s.subInjected.Add(sc.Injected)
-	s.subDetected.Add(sc.Detected)
-	s.subRecovered.Add(sc.Recovered)
-	s.subBenign.Add(sc.Benign)
-	s.rec.RecordSubstrate(name, sc)
 	return layer, layer != ""
-}
-
-// harvestHostcalls attributes the instance's host-call boundary traffic
-// (the delta since the last harvest) to the tenant's stats. Pure-compute
-// tenants have no environment and record nothing.
-func (s *Server) harvestHostcalls(name string, ti *faas.TenantInstance) {
-	if ti.Env == nil {
-		return
-	}
-	calls, bi, bo, qr := ti.Env.TakeCounters()
-	s.rec.RecordHostcalls(name, stats.HostcallCounters{
-		Calls: calls, BytesIn: bi, BytesOut: bo, QuotaRejects: qr,
-	})
-}
-
-// harvestTier attributes the instance's tiered-engine activity (the delta
-// since the last harvest) to the tenant's stats and the server's global
-// counters. Instances running a plain interpreter record nothing.
-func (s *Server) harvestTier(name string, ti *faas.TenantInstance) {
-	tc := ti.TierCountersDelta()
-	if tc == (stats.TierCounters{}) {
-		return
-	}
-	s.tierPromoted.Add(tc.PromotedBlocks)
-	s.tierInstrs.Add(tc.TieredInstrs)
-	s.tierInterp.Add(tc.InterpInstrs)
-	s.rec.RecordTier(name, tc)
 }
 
 // deadlineFuel clamps a request's fuel budget to the wall time left

@@ -169,8 +169,8 @@ func TestShedAccountingConservation(t *testing.T) {
 	if got := s.Admitted(); got != total {
 		t.Fatalf("Admitted() = %d, want %d (every submission is admitted under PolicyShed)", got, total)
 	}
-	if got := s.Rejected(); got != shed.Load() {
-		t.Fatalf("Rejected() = %d, observed %d shed responses", got, shed.Load())
+	if got := s.Counters().Shed; got != shed.Load() {
+		t.Fatalf("Counters().Shed = %d, observed %d shed responses", got, shed.Load())
 	}
 	sum := s.Snapshot(0)
 	if sum.OK != ok.Load() || sum.Shed != shed.Load() {
@@ -274,8 +274,8 @@ func TestBreakerTripsShedsRecovers(t *testing.T) {
 		t.Fatalf("tenant breakdown %+v, want 4 faults / ≥1 shed / 3 ok", ts)
 	}
 	// Breaker sheds count toward the 429 counter like queue sheds.
-	if got := s.Rejected(); got != ts.Shed {
-		t.Fatalf("Rejected() = %d, tenant shed = %d", got, ts.Shed)
+	if got := s.Counters().Shed; got != ts.Shed {
+		t.Fatalf("Counters().Shed = %d, tenant shed = %d", got, ts.Shed)
 	}
 }
 

@@ -132,8 +132,8 @@ func TestBackpressureShed(t *testing.T) {
 	if shed == 0 {
 		t.Fatal("no sheds despite saturated worker and depth-1 queue")
 	}
-	if got := s.Rejected(); got != shed {
-		t.Fatalf("Rejected() = %d, observed %d shed responses", got, shed)
+	if got := s.Counters().Shed; got != shed {
+		t.Fatalf("Counters().Shed = %d, observed %d shed responses", got, shed)
 	}
 	sum := s.Snapshot(0)
 	if sum.Shed != shed || sum.OK != ok || ok+shed != total {
@@ -166,8 +166,8 @@ func TestBackpressureBlock(t *testing.T) {
 		}
 	}
 	s.Close()
-	if s.Rejected() != 0 {
-		t.Fatalf("PolicyBlock rejected %d requests", s.Rejected())
+	if s.Counters().Shed != 0 {
+		t.Fatalf("PolicyBlock rejected %d requests", s.Counters().Shed)
 	}
 }
 
@@ -183,7 +183,7 @@ func TestWarmReuse(t *testing.T) {
 		}
 	}
 	s.Close()
-	if got := s.ColdStarts(); got != 1 {
+	if got := s.Counters().ColdStarts; got != 1 {
 		t.Fatalf("cold starts = %d, want 1", got)
 	}
 }

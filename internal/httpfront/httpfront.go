@@ -231,10 +231,12 @@ func (f *Front) healthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // StatszDoc builds the shard-role StatszV1 this front serves on /statsz.
+// Serve, Tenants and the ledger-derived Counters fields come from one copy
+// of the host's ledger, so their conservation identities hold in every
+// document, not only at quiescence.
 func (f *Front) StatszDoc() StatszV1 {
 	up := time.Since(f.started)
-	serve := f.host.Snapshot(up)
-	counters := f.host.Counters()
+	serve, tenants, counters := f.host.Ledger(up)
 	return StatszV1{
 		SchemaVersion: StatszSchemaVersion,
 		Role:          RoleShard,
@@ -242,7 +244,7 @@ func (f *Front) StatszDoc() StatszV1 {
 		UptimeSeconds: up.Seconds(),
 		Draining:      f.draining.Load(),
 		Serve:         &serve,
-		Tenants:       f.host.TenantSummaries(),
+		Tenants:       tenants,
 		Counters:      &counters,
 		Breakers:      breakersV1(f.host.BreakerStates()),
 		Chaos:         f.host.ChaosSummary(),

@@ -567,3 +567,100 @@ func TestKVSessionTwoWorkers(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestStatszConservationUnderLoad scrapes /statsz as fast as it can while
+// closed-loop clients drive a 2-worker shedding front over hostcall and
+// compute tenants with substrate chaos on, and holds every document — not
+// only the quiescent one — to the ledger's identities: serve is the sum of
+// the tenant rows, the counters' ledger-derived fields are serve's, and the
+// accounted outcomes never exceed admissions (and equal them once drained).
+func TestStatszConservationUnderLoad(t *testing.T) {
+	inj := chaos.New(chaos.Config{
+		Seed: 9, BitFlip: 0.2, SpotCheck: 0.5, TLBStale: 0.2, ClockSkew: 0.2, LoweringRot: 0.2,
+	})
+	f := New(host.New(host.Config{Workers: 2, QueueDepth: 1, Policy: host.PolicyShed, Chaos: inj}), DefaultRegistry(21))
+	ts := httptest.NewServer(f.Handler())
+	c := NewClient(ts.URL)
+	t.Cleanup(func() { c.CloseIdle(); ts.Close(); f.Host().Close() })
+
+	check := func(sz StatszV1, drained bool) {
+		t.Helper()
+		var sum stats.Counts
+		for _, tn := range sz.Tenants {
+			sum.Add(tn.Counts)
+		}
+		if sum != sz.Serve.Counts {
+			t.Fatalf("Σ tenants %+v != serve %+v", sum, sz.Serve.Counts)
+		}
+		ct := sz.Counters
+		if tier := (stats.TierCounters{
+			PromotedBlocks: ct.TierPromotedBlocks, TieredInstrs: ct.TierInstrs, InterpInstrs: ct.TierInterpInstrs,
+		}); tier != sz.Serve.Tier {
+			t.Fatalf("counters tier %+v != serve tier %+v", tier, sz.Serve.Tier)
+		}
+		if ct.Substrate != sz.Serve.Substrate {
+			t.Fatalf("counters substrate %+v != serve substrate %+v", ct.Substrate, sz.Serve.Substrate)
+		}
+		if ct.Shed != sz.Serve.Shed || ct.Canceled != sz.Serve.Canceled {
+			t.Fatalf("counters shed/canceled %d/%d != serve %d/%d", ct.Shed, ct.Canceled, sz.Serve.Shed, sz.Serve.Canceled)
+		}
+		if got := sz.Serve.Admitted(); got > ct.Admitted || drained && got != ct.Admitted {
+			t.Fatalf("Σ outcomes %d vs admitted %d (drained=%v)", got, ct.Admitted, drained)
+		}
+	}
+
+	const clients, each = 6, 60
+	tenants := []string{"kv-session", "templated-html", "hostcall-micro", "xml-to-json", "stream-xform", "check-sha256"}
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	// A failed scrape ends the test mid-load: stop the clients before the
+	// server goes away under them.
+	t.Cleanup(func() { cancel(); wg.Wait() })
+	for w := 0; w < clients; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if _, err := c.Invoke(ctx, tenants[(w+i)%len(tenants)], []byte("session body"), ""); err != nil {
+					if ctx.Err() == nil {
+						t.Errorf("client %d invoke %d: %v", w, i, err)
+					}
+					return
+				}
+			}
+		}(w)
+	}
+	loaded := make(chan struct{})
+	go func() { wg.Wait(); close(loaded) }()
+
+	midLoad := 0
+	for scraping := true; scraping; {
+		select {
+		case <-loaded:
+			scraping = false
+		default:
+		}
+		sz, err := c.Statsz(context.Background())
+		if err != nil {
+			t.Fatalf("statsz: %v", err)
+		}
+		check(sz, false)
+		if a := sz.Counters.Admitted; a > 0 && a < clients*each {
+			midLoad++
+		}
+	}
+	sz, err := c.Statsz(context.Background())
+	if err != nil {
+		t.Fatalf("statsz: %v", err)
+	}
+	check(sz, true)
+	if sz.Counters.Admitted != clients*each {
+		t.Fatalf("admitted %d, want %d", sz.Counters.Admitted, clients*each)
+	}
+	if midLoad < 10 {
+		t.Fatalf("only %d scrapes landed mid-load; the per-scrape check is vacuous", midLoad)
+	}
+	if s := sz.Serve; s.Shed == 0 || s.Hostcalls.Calls == 0 || s.Tier.TieredInstrs == 0 || s.Substrate.Injected == 0 {
+		t.Fatalf("load did not exercise every ledger section: %+v", s.Counts)
+	}
+}

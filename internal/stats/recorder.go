@@ -36,29 +36,64 @@ func (o Outcome) String() string {
 	return "outcome(?)"
 }
 
-// Recorder accumulates per-request latencies and outcome counters from many
-// goroutines — the measurement sink of the concurrent serving layer
-// (internal/host). All methods are safe for concurrent use; Snapshot may be
-// called while recording continues.
-type Recorder struct {
-	mu       sync.Mutex
-	lats     []float64 // wall latencies (ns) of executed requests (ok+timeout+fault)
-	ok       uint64
-	timeouts uint64
-	faults   uint64
-	shed     uint64
-	rejected uint64
-	canceled uint64
-	hc       HostcallCounters
-	tc       TierCounters
-	sc       SubstrateCounters
-	tenants  map[string]*tenantStats
+// Counts is every counter the shard ledger keeps for one tenant — and, summed
+// over tenants, for the shard: the six request outcomes plus the host-call,
+// tiered-engine and substrate traffic harvested from the requests that
+// executed. ServeSummary and TenantSummary embed it, so the field list and
+// the JSON keys exist once.
+type Counts struct {
+	OK       uint64 `json:"ok"`
+	Timeouts uint64 `json:"timeouts"`
+	Faults   uint64 `json:"faults"`
+	Shed     uint64 `json:"shed"`
+	Rejected uint64 `json:"rejected"`
+	Canceled uint64 `json:"canceled"`
+
+	Hostcalls HostcallCounters  `json:"hostcalls"`
+	Tier      TierCounters      `json:"tier"`
+	Substrate SubstrateCounters `json:"substrate"`
+}
+
+// Add accumulates o into c.
+func (c *Counts) Add(o Counts) {
+	c.OK += o.OK
+	c.Timeouts += o.Timeouts
+	c.Faults += o.Faults
+	c.Shed += o.Shed
+	c.Rejected += o.Rejected
+	c.Canceled += o.Canceled
+	c.Hostcalls.Add(o.Hostcalls)
+	c.Tier.Add(o.Tier)
+	c.Substrate.Add(o.Substrate)
+}
+
+// Executed counts requests that reached a sandbox.
+func (c Counts) Executed() uint64 { return c.OK + c.Timeouts + c.Faults }
+
+// Admitted counts every accounted outcome.
+func (c Counts) Admitted() uint64 { return c.Executed() + c.Shed + c.Rejected + c.Canceled }
+
+// outcome returns the counter o increments.
+func (c *Counts) outcome(o Outcome) *uint64 {
+	switch o {
+	case OutcomeOK:
+		return &c.OK
+	case OutcomeTimeout:
+		return &c.Timeouts
+	case OutcomeFault:
+		return &c.Faults
+	case OutcomeShed:
+		return &c.Shed
+	case OutcomeRejected:
+		return &c.Rejected
+	case OutcomeCanceled:
+		return &c.Canceled
+	}
+	panic("stats: unknown outcome")
 }
 
 // HostcallCounters aggregates the host-call boundary traffic the serving
 // layer harvests from each instance's hostcall.Env after every request.
-// Conservation invariant: the global counters are the exact sum of the
-// per-tenant ones — nothing crosses the boundary unattributed.
 type HostcallCounters struct {
 	Calls        uint64 `json:"calls"`
 	BytesIn      uint64 `json:"bytes_in"`
@@ -77,8 +112,7 @@ func (c *HostcallCounters) Add(o HostcallCounters) {
 // TierCounters aggregates tiered-engine activity the serving layer
 // harvests from each instance's engine after every request: blocks
 // promoted to fused execution and the retirement split between the two
-// tiers. Same conservation invariant as HostcallCounters: the global
-// counters are the exact sum of the per-tenant ones.
+// tiers.
 type TierCounters struct {
 	PromotedBlocks uint64 `json:"promoted_blocks"`
 	TieredInstrs   uint64 `json:"tiered_instrs"`
@@ -118,180 +152,59 @@ func (c *SubstrateCounters) Add(o SubstrateCounters) {
 	c.Benign += o.Benign
 }
 
-// tenantStats is one tenant's slice of the recorder: the same outcome
-// counters plus its own latency samples (for a per-tenant p99).
-type tenantStats struct {
-	ok, timeouts, faults, shed, rejected, canceled uint64
-	hc                                             HostcallCounters
-	tc                                             TierCounters
-	sc                                             SubstrateCounters
-	lats                                           []float64
+// row is one tenant's line in the ledger: its counts and the latency
+// distribution of its executed requests.
+type row struct {
+	tenant string
+	Counts
+	lat histogram
+}
+
+func (rw *row) summary() TenantSummary {
+	return TenantSummary{Tenant: rw.tenant, Counts: rw.Counts, P50Ns: rw.lat.quantile(50), P99Ns: rw.lat.quantile(99)}
+}
+
+// Recorder is the shard ledger — the measurement sink of the concurrent
+// serving layer (internal/host). Every count and every latency is stored
+// once, in the row of the tenant it belongs to; shard totals are the sum of
+// the rows, taken at snapshot, so "global == Σ tenants" cannot drift. All
+// methods are safe for concurrent use; a snapshot holds the lock only to
+// copy the rows (fixed size each) and summarizes the copy outside it.
+type Recorder struct {
+	mu   sync.Mutex
+	rows map[string]*row
 }
 
 // NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder { return &Recorder{tenants: make(map[string]*tenantStats)} }
+func NewRecorder() *Recorder { return &Recorder{rows: make(map[string]*row)} }
 
-// Record adds one request outcome. latNs is the wall-clock latency in
-// nanoseconds; it is ignored for shed requests, which never executed.
-func (r *Recorder) Record(o Outcome, latNs float64) { r.RecordTenant("", o, latNs) }
+// RecordRequest is the one record call a request makes: outcome o, the
+// host-call/tier/substrate traffic d it generated, and its wall-clock
+// latency in nanoseconds — all under one lock acquisition. The latency is
+// ignored unless the request executed (ok, timeout, fault).
+func (r *Recorder) RecordRequest(tenant string, o Outcome, latNs float64, d Counts) {
+	*d.outcome(o)++
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	rw := r.rows[tenant]
+	if rw == nil {
+		rw = &row{tenant: tenant}
+		r.rows[tenant] = rw
+	}
+	rw.Counts.Add(d)
+	if d.Executed() > 0 {
+		rw.lat.record(latNs)
+	}
+}
 
-// RecordTenant adds one request outcome attributed to a tenant, updating
-// both the global view (identical to Record) and the tenant's breakdown.
-// The empty tenant records globally only.
+// RecordTenant records an outcome that generated no other traffic.
 func (r *Recorder) RecordTenant(tenant string, o Outcome, latNs float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var ts *tenantStats
-	if tenant != "" {
-		if ts = r.tenants[tenant]; ts == nil {
-			if r.tenants == nil {
-				r.tenants = make(map[string]*tenantStats)
-			}
-			ts = &tenantStats{}
-			r.tenants[tenant] = ts
-		}
-	}
-	executed := false
-	switch o {
-	case OutcomeOK:
-		r.ok++
-		executed = true
-		if ts != nil {
-			ts.ok++
-		}
-	case OutcomeTimeout:
-		r.timeouts++
-		executed = true
-		if ts != nil {
-			ts.timeouts++
-		}
-	case OutcomeFault:
-		r.faults++
-		executed = true
-		if ts != nil {
-			ts.faults++
-		}
-	case OutcomeShed:
-		r.shed++
-		if ts != nil {
-			ts.shed++
-		}
-	case OutcomeRejected:
-		r.rejected++
-		if ts != nil {
-			ts.rejected++
-		}
-	case OutcomeCanceled:
-		r.canceled++
-		if ts != nil {
-			ts.canceled++
-		}
-	}
-	if !executed {
-		return
-	}
-	r.lats = append(r.lats, latNs)
-	if ts != nil {
-		ts.lats = append(ts.lats, latNs)
-	}
+	r.RecordRequest(tenant, o, latNs, Counts{})
 }
 
-// RecordHostcalls attributes one request's host-call boundary traffic to
-// a tenant, updating the global aggregate identically — so the sum over
-// TenantSummaries always equals the Snapshot totals (the conservation
-// check the HTTP front-end tests assert).
-func (r *Recorder) RecordHostcalls(tenant string, hc HostcallCounters) {
-	if hc == (HostcallCounters{}) {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.hc.Add(hc)
-	if tenant != "" {
-		ts := r.tenants[tenant]
-		if ts == nil {
-			if r.tenants == nil {
-				r.tenants = make(map[string]*tenantStats)
-			}
-			ts = &tenantStats{}
-			r.tenants[tenant] = ts
-		}
-		ts.hc.Add(hc)
-	}
-}
-
-// RecordTier attributes one request's tiered-engine activity to a tenant,
-// updating the global aggregate identically — the same conservation
-// contract as RecordHostcalls: the sum over TenantSummaries always equals
-// the Snapshot totals.
-func (r *Recorder) RecordTier(tenant string, tc TierCounters) {
-	if tc == (TierCounters{}) {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.tc.Add(tc)
-	if tenant != "" {
-		ts := r.tenants[tenant]
-		if ts == nil {
-			if r.tenants == nil {
-				r.tenants = make(map[string]*tenantStats)
-			}
-			ts = &tenantStats{}
-			r.tenants[tenant] = ts
-		}
-		ts.tc.Add(tc)
-	}
-}
-
-// RecordSubstrate attributes one request's substrate fault accounting to a
-// tenant, updating the global aggregate identically — the same conservation
-// contract as RecordHostcalls: the sum over TenantSummaries always equals
-// the Snapshot totals.
-func (r *Recorder) RecordSubstrate(tenant string, sc SubstrateCounters) {
-	if sc == (SubstrateCounters{}) {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.sc.Add(sc)
-	if tenant != "" {
-		ts := r.tenants[tenant]
-		if ts == nil {
-			if r.tenants == nil {
-				r.tenants = make(map[string]*tenantStats)
-			}
-			ts = &tenantStats{}
-			r.tenants[tenant] = ts
-		}
-		ts.sc.Add(sc)
-	}
-}
-
-// ServeSummary is a point-in-time view of a Recorder.
+// ServeSummary is a point-in-time view of the whole ledger.
 type ServeSummary struct {
-	OK       uint64 `json:"ok"`
-	Timeouts uint64 `json:"timeouts"`
-	Faults   uint64 `json:"faults"`
-	Shed     uint64 `json:"shed"`
-	// Rejected counts requests refused because the tenant program failed
-	// static verification (never executed, no latency sample).
-	Rejected uint64 `json:"rejected"`
-	// Canceled counts requests abandoned by their caller while queued
-	// (never executed, no latency sample).
-	Canceled uint64 `json:"canceled"`
-
-	// Hostcalls aggregates the host-call boundary traffic of every served
-	// request: calls, marshalled bytes each way, and quota rejections.
-	Hostcalls HostcallCounters `json:"hostcalls"`
-
-	// Tier aggregates tiered-engine activity: block promotions and the
-	// tiered-vs-interpreted retirement split.
-	Tier TierCounters `json:"tier"`
-
-	// Substrate aggregates substrate chaos accounting: faults injected
-	// below the serving seams and their detection/recovery disposition.
-	Substrate SubstrateCounters `json:"substrate"`
+	Counts
 
 	MeanNs float64 `json:"mean_ns"`
 	P50Ns  float64 `json:"p50_ns"`
@@ -306,96 +219,74 @@ type ServeSummary struct {
 	ShedRate float64 `json:"shed_rate"`
 }
 
-// Executed counts requests that reached a sandbox (everything but sheds).
-func (s ServeSummary) Executed() uint64 { return s.OK + s.Timeouts + s.Faults }
+// TenantSummary is one tenant's row — the observability the fairness and
+// circuit-breaker machinery is judged by.
+type TenantSummary struct {
+	Tenant string `json:"tenant"`
+	Counts
+	P50Ns float64 `json:"p50_ns"`
+	P99Ns float64 `json:"p99_ns"`
+}
 
-// Snapshot summarizes everything recorded so far. elapsedNs is the
-// wall-clock window the throughput is computed over.
-func (r *Recorder) Snapshot(elapsedNs float64) ServeSummary {
+// Ledger returns the shard totals and the per-tenant rows (sorted by
+// tenant name) from one copy of the ledger, so the totals are exactly the
+// sum of the rows. The lock is held for one fixed-size copy per tenant,
+// independent of how much was recorded. elapsedNs is the wall-clock window
+// the throughput is computed over.
+func (r *Recorder) Ledger(elapsedNs float64) (ServeSummary, []TenantSummary) {
 	r.mu.Lock()
-	lats := append([]float64(nil), r.lats...)
-	s := ServeSummary{
-		OK: r.ok, Timeouts: r.timeouts, Faults: r.faults,
-		Shed: r.shed, Rejected: r.rejected, Canceled: r.canceled,
-		Hostcalls: r.hc, Tier: r.tc, Substrate: r.sc,
+	rows := make([]row, 0, len(r.rows))
+	for _, rw := range r.rows {
+		rows = append(rows, *rw)
 	}
 	r.mu.Unlock()
+	sort.Slice(rows, func(i, j int) bool { return rows[i].tenant < rows[j].tenant })
 
-	if len(lats) > 0 {
-		s.MeanNs = Mean(lats)
-		s.P50Ns = Percentile(lats, 50)
-		s.P99Ns = Percentile(lats, 99)
-		s.P999Ns = Percentile(lats, 99.9)
-		s.MaxNs = Max(lats)
+	var total row
+	tenants := make([]TenantSummary, len(rows))
+	for i := range rows {
+		total.Counts.Add(rows[i].Counts)
+		total.lat.merge(&rows[i].lat)
+		tenants[i] = rows[i].summary()
+	}
+	s := ServeSummary{
+		Counts: total.Counts,
+		P50Ns:  total.lat.quantile(50),
+		P99Ns:  total.lat.quantile(99),
+		P999Ns: total.lat.quantile(99.9),
+		MaxNs:  float64(total.lat.max),
+	}
+	if n := total.lat.count; n > 0 {
+		s.MeanNs = float64(total.lat.sum) / float64(n)
 	}
 	if elapsedNs > 0 {
 		s.ThroughputRPS = float64(s.Executed()) / (elapsedNs / 1e9)
 	}
-	if total := s.Executed() + s.Shed; total > 0 {
-		s.ShedRate = float64(s.Shed) / float64(total)
+	if offered := s.Executed() + s.Shed; offered > 0 {
+		s.ShedRate = float64(s.Shed) / float64(offered)
 	}
+	return s, tenants
+}
+
+// Snapshot summarizes everything recorded so far.
+func (r *Recorder) Snapshot(elapsedNs float64) ServeSummary {
+	s, _ := r.Ledger(elapsedNs)
 	return s
 }
 
-// TenantSummary is one tenant's outcome breakdown — the observability the
-// fairness and circuit-breaker machinery is judged by.
-type TenantSummary struct {
-	Tenant   string  `json:"tenant"`
-	OK       uint64  `json:"ok"`
-	Timeouts uint64  `json:"timeouts"`
-	Faults   uint64  `json:"faults"`
-	Shed     uint64  `json:"shed"`
-	Rejected uint64  `json:"rejected"`
-	Canceled uint64  `json:"canceled"`
-	P50Ns    float64 `json:"p50_ns"`
-	P99Ns    float64 `json:"p99_ns"`
-
-	// Hostcalls is the tenant's host-call boundary traffic.
-	Hostcalls HostcallCounters `json:"hostcalls"`
-
-	// Tier is the tenant's tiered-engine activity.
-	Tier TierCounters `json:"tier"`
-
-	// Substrate is the tenant's substrate fault accounting.
-	Substrate SubstrateCounters `json:"substrate"`
+// TenantSummaries returns the per-tenant rows sorted by tenant name.
+func (r *Recorder) TenantSummaries() []TenantSummary {
+	_, tenants := r.Ledger(0)
+	return tenants
 }
 
-// Executed counts the tenant's requests that reached a sandbox.
-func (t TenantSummary) Executed() uint64 { return t.OK + t.Timeouts + t.Faults }
-
-// Admitted counts every accounted outcome for the tenant.
-func (t TenantSummary) Admitted() uint64 { return t.Executed() + t.Shed + t.Rejected + t.Canceled }
-
-// TenantSummaries returns the per-tenant breakdowns sorted by tenant name.
-// The global view (Snapshot) is unchanged by per-tenant attribution.
-func (r *Recorder) TenantSummaries() []TenantSummary {
+// Tenant returns one tenant's row (zero counts if never recorded).
+func (r *Recorder) Tenant(name string) TenantSummary {
+	rw := row{tenant: name}
 	r.mu.Lock()
-	out := make([]TenantSummary, 0, len(r.tenants))
-	for name, ts := range r.tenants {
-		t := TenantSummary{
-			Tenant: name,
-			OK:     ts.ok, Timeouts: ts.timeouts, Faults: ts.faults,
-			Shed: ts.shed, Rejected: ts.rejected, Canceled: ts.canceled,
-			Hostcalls: ts.hc, Tier: ts.tc, Substrate: ts.sc,
-		}
-		if len(ts.lats) > 0 {
-			lats := append([]float64(nil), ts.lats...)
-			t.P50Ns = Percentile(lats, 50)
-			t.P99Ns = Percentile(lats, 99)
-		}
-		out = append(out, t)
+	if p := r.rows[name]; p != nil {
+		rw = *p
 	}
 	r.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
-	return out
-}
-
-// Tenant returns one tenant's breakdown (zero value if never recorded).
-func (r *Recorder) Tenant(name string) TenantSummary {
-	for _, t := range r.TenantSummaries() {
-		if t.Tenant == name {
-			return t
-		}
-	}
-	return TenantSummary{Tenant: name}
+	return rw.summary()
 }

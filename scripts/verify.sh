@@ -41,7 +41,12 @@
 # hfilint runs right after vet: the custom checks (negated-errno returns in
 # the hostcall handlers, the closed verifier rule vocabulary) that plain
 # vet cannot express. A dedicated uncached -race pass over the verifier and
-# mutation packages closes the loop on the analysis code itself.
+# mutation packages closes the loop on the analysis code itself; the same
+# pass covers internal/stats, whose allocation gates (TestRecordZeroAllocs,
+# TestRecorderBoundedMemory) measure the process and must not be served
+# from the test cache. A 10 s FuzzHistogram smoke follows: the shard
+# ledger's latency histogram against stats.Percentile on arbitrary float64
+# streams (the seed corpus alone already runs under plain `go test`).
 #
 # Last, the benchmark module: benchmark/ has its own go.mod (the root
 # ./... patterns do not reach it) but imports this module's exported API,
@@ -71,8 +76,10 @@ go run ./cmd/hfiverify -class hostcall
 echo "== hfiverify -facts: analyzer facts + independent audit over the corpus"
 go run ./cmd/hfiverify -facts >/dev/null
 echo "corpus facts audited"
-echo "== go test -race -count=1 (uncached): verifier + mutation"
-go test -race -short -count=1 ./internal/verifier ./internal/mutation ./internal/lint
+echo "== go test -race -count=1 (uncached): verifier + mutation + stats"
+go test -race -short -count=1 ./internal/verifier ./internal/mutation ./internal/lint ./internal/stats
+echo "== fuzz smoke: FuzzHistogram, 10 s"
+go test -run '^$' -fuzz=FuzzHistogram -fuzztime=10s ./internal/stats
 echo "== hfiverify -mutate: verifier soundness bench (fast, incl. fact-corruption operators)"
 go run ./cmd/hfiverify -mutate
 echo "== benchmark module: build + smoke tests"
