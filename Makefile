@@ -19,9 +19,9 @@ race:
 	go test -race ./...
 
 # Full verification gate: build + vet + race-detected test suite (with the
-# zero-alloc gates: interpreter, tier, hostcall round trip, ledger record)
-# + a 10 s FuzzHistogram smoke + the static-verifier corpus sweep and
-# mutation bench.
+# zero-alloc gates: interpreter, tier, hostcall round trip, ledger record,
+# verified-reset HeapHash) + 10 s FuzzHistogram and FuzzHeapDigest smokes
+# + the static-verifier corpus sweep and mutation bench.
 verify:
 	sh scripts/verify.sh
 

@@ -28,10 +28,12 @@
 //     fault+timeout rate, shed fast while open (StatusShed with
 //     ErrBreakerOpen), and half-open on a timer with probe requests.
 //   - A faulted or timed-out instance is quarantined: Reset, then a
-//     verified-reset check (sandbox.Instance.HeapHash against the
-//     post-provision baseline). An instance whose reset failed to restore
-//     the initial image — a poisoned instance — is discarded, never
-//     reused.
+//     verified-reset check (sandbox.Instance.HeapHash — a digest of the
+//     resident pages of every linear memory the instance owns, grown
+//     pages and extra memories included — against the baseline taken
+//     from the fresh instance at every cold provision). An instance whose
+//     reset failed to restore the initial image — a poisoned instance —
+//     is discarded, never reused.
 //   - Submit after Close returns a typed ErrClosed response; requests
 //     admitted before Close drain with their real outcomes recorded.
 //

@@ -33,7 +33,9 @@ func (c PoolConfig) withDefaults() PoolConfig {
 }
 
 // poolEntry is one warm instance plus the state quarantine needs: the
-// heap hash taken right after provisioning (the verified-reset baseline)
+// verified-reset baseline — sandbox.Instance.HeapHash of the fresh
+// instance, a digest of the resident pages of all its linear memories taken
+// at every cold provision (it costs microseconds, so nothing caches it) —
 // and the last-use time (for TTL eviction).
 type poolEntry struct {
 	key      poolKey

@@ -69,11 +69,13 @@ type CostModel struct {
 	// on the simulated timeline.
 	HostcallCopyPerKiB uint64
 
-	// AuditHashPerPage is the cost of hashing one 64 KiB heap page during
-	// a substrate spot check (the sampled end-of-request verified-reset
-	// audit). ~64 KiB at a memory-bandwidth-bound ~13 GB/s scrub rate, so
-	// sampling rate — not hash speed — is the knob that keeps detection
-	// affordable.
+	// AuditHashPerPage is the cost of scrubbing one declared 64 KiB heap
+	// page during a substrate spot check (the sampled end-of-request
+	// verified-reset audit). ~64 KiB at a memory-bandwidth-bound ~13 GB/s
+	// scrub rate, so sampling rate — not hash speed — is the knob that
+	// keeps detection affordable. It is charged per declared page, not per
+	// page the host-side digest happens to visit: the model is a DRAM
+	// scrub, and the sparse backing store's residency is not DRAM's.
 	AuditHashPerPage uint64
 }
 

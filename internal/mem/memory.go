@@ -176,78 +176,66 @@ func (m *Memory) WriteBytes(addr uint64, src []byte) {
 	}
 }
 
-// Zero clears length bytes starting at addr, releasing backing pages where
-// whole pages are covered (used by madvise(DONTNEED)). For ranges much
-// larger than the resident set it walks the page table instead of the
-// range, so discarding huge sparse reservations is O(resident).
-func (m *Memory) Zero(addr, length uint64) {
-	if length == 0 {
-		return // also avoids (end-1) underflow below when addr is 0
-	}
-	m.lastPg = nil // may delete the cached page; drop the whole cache
-	end := addr + length
-	if length/PageSize > uint64(len(m.pages))+2 {
-		lo, hi := addr>>PageBits, (end-1)>>PageBits
-		for idx := range m.pages {
-			if idx < lo || idx > hi {
-				continue
-			}
-			base := idx << PageBits
-			if base >= addr && base+PageSize <= end {
-				delete(m.pages, idx)
-				continue
-			}
-			// Partial page at a range edge.
-			p := m.pages[idx]
-			for a := base; a < base+PageSize; a++ {
-				if a >= addr && a < end {
-					p[a&(PageSize-1)] = 0
-				}
-			}
-		}
-		return
-	}
-	for addr < end {
-		off := addr & (PageSize - 1)
-		if off == 0 && end-addr >= PageSize {
-			delete(m.pages, addr>>PageBits)
-			addr += PageSize
-			continue
-		}
-		n := PageSize - off
-		if n > end-addr {
-			n = end - addr
-		}
-		if p := m.page(addr, false); p != nil {
-			for i := uint64(0); i < n; i++ {
-				p[off+i] = 0
-			}
-		}
-		addr += n
-	}
-}
-
-// ResidentIn counts the resident bytes inside [addr, addr+length),
-// walking the page table (O(resident), not O(range)).
-func (m *Memory) ResidentIn(addr, length uint64) uint64 {
+// residentPages calls visit once for every resident backing page that
+// overlaps [addr, addr+length), in no particular order, handing it the page
+// and the half-open byte span [from, to) of that page the range covers
+// (0, PageSize for all but the two edge pages). It returns how many
+// page-table slots it examined. One rule picks the walk: a range spanning
+// at least as many pages as the table holds iterates the table, a shorter
+// one probes its own slots — so the cost is O(min(range, resident)) and a
+// huge sparse reservation costs what is resident, not what is reserved.
+// visit may delete the page it is handed.
+func (m *Memory) residentPages(addr, length uint64, visit func(idx uint64, p *[PageSize]byte, from, to int)) (examined int) {
 	if length == 0 {
 		return 0 // (addr+length-1) would underflow for addr == 0
 	}
-	lo, hi := addr>>PageBits, (addr+length-1)>>PageBits
-	var n uint64
-	if uint64(len(m.pages)) < hi-lo {
-		for idx := range m.pages {
+	last := addr + length - 1
+	lo, hi := addr>>PageBits, last>>PageBits
+	clipped := func(idx uint64, p *[PageSize]byte) {
+		from, to := 0, PageSize
+		if idx == lo {
+			from = int(addr & (PageSize - 1))
+		}
+		if idx == hi {
+			to = int(last&(PageSize-1)) + 1
+		}
+		visit(idx, p, from, to)
+	}
+	if hi-lo >= uint64(len(m.pages)) {
+		for idx, p := range m.pages {
 			if idx >= lo && idx <= hi {
-				n += PageSize
+				clipped(idx, p)
 			}
 		}
-		return n
+		return len(m.pages)
 	}
 	for idx := lo; idx <= hi; idx++ {
-		if m.pages[idx] != nil {
-			n += PageSize
+		if p := m.pages[idx]; p != nil {
+			clipped(idx, p)
 		}
 	}
+	return int(hi - lo + 1)
+}
+
+// Zero clears length bytes starting at addr, releasing backing pages where
+// whole pages are covered (used by madvise(DONTNEED)); discarding a huge
+// sparse reservation is O(resident).
+func (m *Memory) Zero(addr, length uint64) {
+	m.lastPg = nil // may delete the cached page; drop the whole cache
+	m.residentPages(addr, length, func(idx uint64, p *[PageSize]byte, from, to int) {
+		if to-from == PageSize {
+			delete(m.pages, idx)
+			return
+		}
+		clear(p[from:to]) // partial page at a range edge
+	})
+}
+
+// ResidentIn counts the resident bytes inside [addr, addr+length), whole
+// backing pages at a time (O(resident), not O(range)).
+func (m *Memory) ResidentIn(addr, length uint64) uint64 {
+	var n uint64
+	m.residentPages(addr, length, func(uint64, *[PageSize]byte, int, int) { n += PageSize })
 	return n
 }
 

@@ -612,52 +612,43 @@ func (inst *Instance) Reset() {
 	inst.CurPages = mod.MemPages
 }
 
-// HeapHash digests the instance's initial heap image — the module's
-// declared initial pages — with FNV-1a. Right after Instantiate (and right
-// after a correct Reset) the hash equals the cold-instance hash: data
-// segments replayed, everything else zero. A warm pool uses it as the
-// verified-reset check before reusing a faulted instance: any state a
-// buggy or bypassed Reset leaves behind in the initial pages changes the
-// hash, so a poisoned instance is detectable without reference to another
-// instance. Pages grown past the initial size are not hashed (Reset
-// discards them wholesale and restores the page count, which callers can
-// check via CurPages).
+// HeapHash digests the content of every linear memory the instance owns —
+// memory 0's whole reservation and each extra memory's — with mem.Digest, so
+// its cost follows the resident backing pages (the data segments, right
+// after Instantiate or Reset), not the declared or reserved size. Right
+// after Instantiate, and right after a correct Reset, it equals the
+// cold-instance hash whatever the scheme or the addresses the memories
+// landed at: data segments replayed, everything else zero or absent. A warm
+// pool uses it as the verified-reset check before reusing a faulted
+// instance: any state a buggy or bypassed Reset leaves behind — in the
+// initial pages, in pages grown past them or in an extra memory — changes
+// the hash, so a poisoned instance is detectable without reference to
+// another instance.
 func (inst *Instance) HeapHash() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
 	mem := inst.RT.M.Mem()
-	total := uint64(inst.C.Module.MemPages) * wasm.PageSize
-	buf := make([]byte, 64<<10)
-	for off := uint64(0); off < total; off += uint64(len(buf)) {
-		n := total - off
-		if n > uint64(len(buf)) {
-			n = uint64(len(buf))
-		}
-		chunk := buf[:n]
-		mem.ReadBytes(inst.HeapBase+off, chunk)
-		for _, b := range chunk {
-			h ^= uint64(b)
-			h *= prime64
-		}
+	h := mem.Digest(inst.HeapBase, inst.HeapReserved)
+	for i, base := range inst.ExtraMemBases {
+		// Horner over the memory index: position-sensitive, a bijection of
+		// each memory's digest, and an unreserved placeholder (length 0)
+		// counts the same as a reserved empty one (both digest to 0).
+		h = h*0x100000001b3 + mem.Digest(base, inst.ExtraMemReserved[i])
 	}
 	return h
 }
 
 // InitialHeapBytes returns the byte size of the initial heap pages — the
-// range HeapHash covers and the live target region for substrate bit
-// flips (a flip beyond it lands in reservation pages no verified-reset
-// audit hashes and no un-grown guest reads).
+// live target region for substrate bit flips: a flip beyond it lands in
+// reservation pages no un-grown guest reads (HeapHash would still see it).
 func (inst *Instance) InitialHeapBytes() uint64 {
 	return uint64(inst.C.Module.MemPages) * wasm.PageSize
 }
 
 // AuditHeapHash is the cost-modeled HeapHash used by the host's sampled
 // end-of-request spot checks: identical hash, but the scrub pays simulated
-// time per hashed page on the instance's kernel clock, so detection
-// coverage shows up on the simulated timeline instead of being free.
+// time per declared initial page on the instance's kernel clock — it models
+// scrubbing the instance's DRAM, which the sparse backing store's host cost
+// says nothing about — so detection coverage shows up on the simulated
+// timeline instead of being free.
 func (inst *Instance) AuditHeapHash() uint64 {
 	pages := uint64(inst.C.Module.MemPages)
 	k := inst.RT.M.Kern

@@ -42,11 +42,15 @@
 # the hostcall handlers, the closed verifier rule vocabulary) that plain
 # vet cannot express. A dedicated uncached -race pass over the verifier and
 # mutation packages closes the loop on the analysis code itself; the same
-# pass covers internal/stats, whose allocation gates (TestRecordZeroAllocs,
-# TestRecorderBoundedMemory) measure the process and must not be served
-# from the test cache. A 10 s FuzzHistogram smoke follows: the shard
-# ledger's latency histogram against stats.Percentile on arbitrary float64
-# streams (the seed corpus alone already runs under plain `go test`).
+# pass covers internal/stats, internal/mem and internal/sandbox, whose
+# allocation gates (TestRecordZeroAllocs, TestRecorderBoundedMemory,
+# TestDigestCostFollowsResidentPages, TestHeapHashZeroAllocs) measure the
+# process and must not be served from the test cache. Two 10 s fuzz smokes
+# follow: FuzzHistogram, the shard ledger's latency histogram against
+# stats.Percentile on arbitrary float64 streams, and FuzzHeapDigest, the
+# verified-reset digest against a direct content comparison of two sparse
+# memories driven by arbitrary write/zero/discard/bit-flip sequences (the
+# seed corpora alone already run under plain `go test`).
 #
 # Last, the benchmark module: benchmark/ has its own go.mod (the root
 # ./... patterns do not reach it) but imports this module's exported API,
@@ -76,10 +80,12 @@ go run ./cmd/hfiverify -class hostcall
 echo "== hfiverify -facts: analyzer facts + independent audit over the corpus"
 go run ./cmd/hfiverify -facts >/dev/null
 echo "corpus facts audited"
-echo "== go test -race -count=1 (uncached): verifier + mutation + stats"
-go test -race -short -count=1 ./internal/verifier ./internal/mutation ./internal/lint ./internal/stats
+echo "== go test -race -count=1 (uncached): verifier + mutation + stats + mem + sandbox"
+go test -race -short -count=1 ./internal/verifier ./internal/mutation ./internal/lint ./internal/stats ./internal/mem ./internal/sandbox
 echo "== fuzz smoke: FuzzHistogram, 10 s"
 go test -run '^$' -fuzz=FuzzHistogram -fuzztime=10s ./internal/stats
+echo "== fuzz smoke: FuzzHeapDigest, 10 s"
+go test -run '^$' -fuzz=FuzzHeapDigest -fuzztime=10s ./internal/mem
 echo "== hfiverify -mutate: verifier soundness bench (fast, incl. fact-corruption operators)"
 go run ./cmd/hfiverify -mutate
 echo "== benchmark module: build + smoke tests"
