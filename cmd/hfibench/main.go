@@ -127,14 +127,6 @@ func main() {
 		_, tb, err := experiments.RunHostcallRoundTrip(hcReqs)
 		show(tb, err)
 	}
-	if runExp("tier") {
-		minInstrs := uint64(40_000_000)
-		if *quick {
-			minInstrs = 4_000_000
-		}
-		_, tb, err := experiments.RunTierPerf(minInstrs)
-		show(tb, err)
-	}
 	if runExp("micro") {
 		minInstrs := uint64(40_000_000)
 		if *quick {

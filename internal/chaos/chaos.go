@@ -54,7 +54,7 @@
 //     segment boundary, common-mode drift is invisible and benign.
 //   - Lowering rot — LoweringRot corrupts a tiered engine's cached gate
 //     verdicts (the hoisted per-block safety decisions); the gate audit
-//     re-derives freshness from the generation tags and demotes.
+//     re-derives freshness from the generation tags and invalidates.
 //
 // Substrate decisions are drawn exactly like the serving-seam ones —
 // pure functions of (seed, class, tenant, seq) with sub-parameters
@@ -230,7 +230,7 @@ type Config struct {
 	// instance's tiered-engine gate cache (a flipped block verdict plus
 	// forged gate generation tags). Live rot claims verdicts for
 	// generations that have not happened and is caught by the gate audit;
-	// dead rot strikes a demoted gate whose verdicts are recomputed
+	// dead rot strikes a dead gate whose verdicts are recomputed
 	// before any fused block trusts them, and is benign. Drawn only for
 	// instances that actually carry a lowering.
 	LoweringRot float64
@@ -561,7 +561,7 @@ func (in *Injector) ClockSkew(tenant string, seq int) (ns uint64, live, ok bool)
 // (ok=true), which cached block verdict to flip (pick, reduced modulo the
 // block count by the engine), and whether the rot is live (forged gate
 // tags claiming future generations — the gate audit must catch it) or
-// dead (rot in a demoted gate whose verdicts are recomputed before use —
+// dead (rot in a dead gate whose verdicts are recomputed before use —
 // benign). Callers must only draw this for instances that carry a
 // lowering, so the injected count equals the applied count.
 func (in *Injector) LoweringRot(tenant string, seq int) (pick uint64, live, ok bool) {

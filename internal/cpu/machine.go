@@ -144,12 +144,6 @@ type Machine struct {
 	// strength of a verifier fact (not part of the architectural state;
 	// benchmarks read it).
 	FactElisions uint64
-
-	// resetSeq counts Reset calls. Reset is the context-switch point where
-	// the machine is handed to a different guest; engines that carry
-	// per-guest derived state (the tiered engine's promotion counters)
-	// watch it to demote everything the new guest has not earned.
-	resetSeq uint64
 }
 
 // dtcEntry caches the access decision for every access wholly inside one OS
@@ -357,13 +351,9 @@ func (m *Machine) Reset() {
 	m.PC = 0
 	m.Cycles = 0
 	m.Instret = 0
-	m.resetSeq++
 	m.invalidateFetchCache()
 	m.FlushDTC()
 }
-
-// ResetSeq returns the number of Reset calls so far; see resetSeq.
-func (m *Machine) ResetSeq() uint64 { return m.resetSeq }
 
 // raiseFault routes a fault through the OS signal path: HFI has already
 // disabled the sandbox and recorded the MSR (for HFI faults); the kernel

@@ -150,7 +150,7 @@ func ProvisionShared(tenant workloads.Tenant, cfg Config, images *sandbox.CodeCa
 }
 
 // TierCountersDelta harvests the tiered engine's activity since the last
-// harvest (promotions, tiered-vs-interpreted retirement). Zero for engines
+// harvest (gate-admitted blocks, tiered-vs-interpreted retirement). Zero for engines
 // that are not tiered (differential tests hand-build interpreters).
 func (ti *TenantInstance) TierCountersDelta() stats.TierCounters {
 	te, ok := ti.Eng.(*tier.Engine)

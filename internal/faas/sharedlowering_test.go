@@ -14,10 +14,9 @@ import (
 // TestSharedLoweringAcrossWorkers mirrors TestSharedImageAcrossWorkers one
 // layer up: 8 workers provisioned through one CodeCache must share the
 // *same* tiered lowering — pointer identity — and hammering it concurrently
-// with aggressive promotion must reproduce the single-threaded checksums.
-// Under -race this proves the lowering is read-only in steady state: all
-// mutable tier state (counts, promotion bits, gate verdicts) lives in the
-// per-instance Engine.
+// must reproduce the single-threaded checksums. Under -race this proves
+// the lowering is read-only in steady state: all mutable tier state (gate
+// verdicts, counters) lives in the per-instance Engine.
 func TestSharedLoweringAcrossWorkers(t *testing.T) {
 	tenant := workloads.FaaSTenantsLight()[0]
 	cfg := Config{Name: "HFI", Scheme: sfi.HFI}
@@ -35,9 +34,6 @@ func TestSharedLoweringAcrossWorkers(t *testing.T) {
 		if ti.Inst.Lowered == nil {
 			t.Fatal("verified image carries no lowering")
 		}
-		// Promote on the second execution so the fused paths carry the
-		// concurrent phase.
-		ti.Eng.(*tier.Engine).PromoteAfter = 1
 		tis[i] = ti
 	}
 	for i := 1; i < workers; i++ {

@@ -671,8 +671,9 @@ type Counters struct {
 	PoolHighWater     int64  `json:"pool_high_water"`
 	BreakerTrips      uint64 `json:"breaker_trips"`
 
-	// Tiered-engine activity across all workers: blocks promoted to fused
-	// execution, the guest-instruction retirement split between the tiers,
+	// Tiered-engine activity across all workers: gate-admitted blocks
+	// (fusable blocks each gate derivation admitted, summed), the
+	// guest-instruction retirement split between the tiers,
 	// and the shared lowering cache's hit rate (read from faas.Images, the
 	// same cache every worker provisions through).
 	TierPromotedBlocks uint64 `json:"tier_promoted_blocks"`
@@ -899,7 +900,7 @@ func (s *Server) serveOne(id int, pool *instPool, rng *rand.Rand, c *call, d *st
 // unconditionally — a sampled, cost-modeled heap-hash spot check plus
 // three always-on cheap cross-audits (cache generation tags, tier gate
 // freshness, clock drift) — and recovers in place: flush the decision
-// caches, demote and re-lower the tiered code, resync the clock. Faults
+// caches, invalidate the tier gate's verdicts, resync the clock. Faults
 // are injected end-of-request so every plant is either detected by this
 // request's audits or benign by construction (cold state recycled before
 // any consumer reads it); nothing carries across requests, which is what

@@ -156,13 +156,11 @@ func runFactOps(rep *Report, w workloads.Workload, scheme sfi.Scheme, maxSites i
 }
 
 // runFactMutant executes the unmutated program on a tiered engine lowered
-// from a corrupted facts artifact (promotion on first sight, so the fused
-// runner carries the run), under the same oracle as instruction mutants.
+// from a corrupted facts artifact (every gate-admitted block runs fused from
+// its first visit), under the same oracle as instruction mutants.
 func runFactMutant(w workloads.Workload, scheme sfi.Scheme, mut *verifier.Facts, limit uint64, baseReason cpu.StopReason, baseOut uint64) (Outcome, string, error) {
 	return runOracle(w, scheme, limit, baseReason, baseOut, func(inst *sandbox.Instance) (cpu.Engine, error) {
 		ip := cpu.NewInterp(inst.RT.M)
-		eng := tier.NewEngine(ip, tier.Lower(inst.C.Prog, mut, ip.Cost))
-		eng.PromoteAfter = 1
-		return eng, nil
+		return tier.NewEngine(ip, tier.Lower(inst.C.Prog, mut, ip.Cost)), nil
 	})
 }

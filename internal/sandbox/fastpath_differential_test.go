@@ -69,9 +69,6 @@ func runVariant(t *testing.T, w workloads.Workload, scheme sfi.Scheme, v engineV
 	var te *tier.Engine
 	if v.tiered {
 		te = tier.NewEngine(ip, inst.Lowered)
-		// Promote on the second execution of every block so the fused
-		// paths carry as much of the run as possible.
-		te.PromoteAfter = 1
 		eng = te
 	}
 	snap := runSnapshot{}
@@ -115,7 +112,7 @@ var differentialSchemes = []sfi.Scheme{sfi.GuardPages, sfi.BoundsCheck, sfi.Mask
 // TestDifferentialFastPathCorpus runs the full Sightglass corpus under all
 // four isolation schemes on three engine variants — the fully dynamic
 // reference interpreter (NoFastPath), the cached interpreter, and the
-// tiered superinstruction engine with an aggressive promotion threshold —
+// tiered superinstruction engine as served —
 // and asserts identical architectural outcomes: stop reason, result,
 // registers, retired instructions, cycle counts, simulated clock, heap
 // image, and HFI check counters. The interpreter's caches are pure caching

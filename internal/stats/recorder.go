@@ -110,9 +110,9 @@ func (c *HostcallCounters) Add(o HostcallCounters) {
 }
 
 // TierCounters aggregates tiered-engine activity the serving layer
-// harvests from each instance's engine after every request: blocks
-// promoted to fused execution and the retirement split between the two
-// tiers.
+// harvests from each instance's engine after every request: gate-admitted
+// blocks (fusable blocks each gate derivation admitted, summed) and the
+// retirement split between the two tiers.
 type TierCounters struct {
 	PromotedBlocks uint64 `json:"promoted_blocks"`
 	TieredInstrs   uint64 `json:"tiered_instrs"`

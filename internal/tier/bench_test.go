@@ -11,9 +11,9 @@ import (
 	"hfi/internal/workloads"
 )
 
-// benchCorpus measures corpus throughput under either engine; the tiered
-// variant is warmed past the promotion threshold first. This is the
-// microscope behind the `hfibench -exp tier` numbers.
+// benchCorpus measures corpus throughput under either engine, each warmed
+// by two untimed runs first. It is the microscope behind the benchmark's
+// cpu.tier_host_ns_per_instr rows.
 func benchCorpus(b *testing.B, scheme sfi.Scheme, tiered bool) {
 	type warmInst struct {
 		inst *sandbox.Instance
@@ -30,9 +30,7 @@ func benchCorpus(b *testing.B, scheme sfi.Scheme, tiered bool) {
 		ip := cpu.NewInterp(rt.M)
 		var eng cpu.Engine = ip
 		if tiered {
-			te := tier.NewEngine(ip, inst.Lowered)
-			te.PromoteAfter = 1
-			eng = te
+			eng = tier.NewEngine(ip, inst.Lowered)
 		}
 		for i := 0; i < 2; i++ {
 			if res, _ := inst.Invoke(eng, 500_000_000); res.Reason != cpu.StopHalt {

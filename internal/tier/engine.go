@@ -7,32 +7,22 @@ import (
 	"hfi/internal/kernel"
 )
 
-// DefaultPromoteAfter is the number of interpreted executions a block's
-// leader must observe before the block is promoted to fused execution.
-const DefaultPromoteAfter = 8
-
 // outsideChunk is the interpreter segment length used while the PC is
 // outside the lowered program (springboards, trampolines): long enough to
 // amortize the segment call, short enough that control realigns to block
 // leaders promptly after transferring into lowered code.
 const outsideChunk = 32
 
-// Engine executes a machine against one lowered program, promoting hot
-// basic blocks to fused execution and delegating everything else — cold
-// blocks, unfusable tails, code outside the program, and every bail — to
-// the interpreter in block-aligned segments. It implements cpu.Engine and
-// is cycle-exact with a monolithic interpreter run (see the package doc).
+// Engine executes a machine against one lowered program, running every
+// gate-admitted basic block fused from its first visit and delegating
+// everything else — unfusable blocks and tails, code outside the program,
+// and every bail — to the interpreter in block-aligned segments. It
+// implements cpu.Engine and is cycle-exact with a monolithic interpreter
+// run (see the package doc).
 type Engine struct {
 	ip  *cpu.Interp
 	m   *cpu.Machine
 	low *Lowered
-
-	// PromoteAfter is the promotion threshold; counts reset on
-	// Machine.Reset (the guest context-switch point).
-	PromoteAfter uint32
-
-	counts   []uint32
-	promoted []bool
 
 	// Per-generation gate over the lowering's fact claims, tagged like the
 	// interpreter's page-decision cache: any HFI state write or mapping
@@ -43,13 +33,12 @@ type Engine struct {
 	winOK      []bool
 	blockOK    []bool
 
-	resetSeq uint64
-
 	// Counters (cumulative; TakeCounters returns harvest deltas).
-	promotions   uint64
+	// admitted sums the fusable blocks each gateSync admitted.
+	admitted     uint64
 	tieredInstrs uint64
 	interpInstrs uint64
-	hPromotions  uint64
+	hAdmitted    uint64
 	hTiered      uint64
 	hInterp      uint64
 }
@@ -57,13 +46,10 @@ type Engine struct {
 // NewEngine wires an engine over ip's machine. low may be nil (no facts,
 // shape mismatch): the engine then delegates every run to the interpreter.
 func NewEngine(ip *cpu.Interp, low *Lowered) *Engine {
-	e := &Engine{ip: ip, m: ip.M, low: low, PromoteAfter: DefaultPromoteAfter}
+	e := &Engine{ip: ip, m: ip.M, low: low}
 	if low != nil {
-		e.counts = make([]uint32, len(low.blocks))
-		e.promoted = make([]bool, len(low.blocks))
 		e.winOK = make([]bool, len(low.windows))
 		e.blockOK = make([]bool, len(low.blocks))
-		e.resetSeq = ip.M.ResetSeq()
 	}
 	return e
 }
@@ -84,10 +70,6 @@ func (e *Engine) Run(limit uint64) cpu.RunResult {
 	ip, m, low := e.ip, e.m, e.low
 	if low == nil || ip.NoFastPath || ip.Cost != low.Cost {
 		return ip.Run(limit)
-	}
-	if rs := m.ResetSeq(); rs != e.resetSeq {
-		e.resetSeq = rs
-		e.demote()
 	}
 	remaining := limit
 	if limit == 0 {
@@ -113,36 +95,28 @@ func (e *Engine) Run(limit uint64) cpu.RunResult {
 		bi := low.blockIdx[idx]
 		b := &low.blocks[bi]
 		if idx == b.Start && len(b.Ops) > 0 {
-			if e.promoted[bi] {
-				if !e.gateOK || e.gateHfiGen != m.HFI.Gen || e.gateMapGen != m.AS.Gen() {
-					e.gateSync()
+			if !e.gateOK || e.gateHfiGen != m.HFI.Gen || e.gateMapGen != m.AS.Gen() {
+				e.gateSync()
+			}
+			if e.blockOK[bi] && remaining >= uint64(b.Span) {
+				used, res, st := e.runChain(b, remaining)
+				e.tieredInstrs += used
+				remaining -= used
+				switch st {
+				case stTerminal:
+					return res
+				case stDone:
+					continue
 				}
-				if e.blockOK[bi] && remaining >= uint64(b.Span) {
-					used, res, st := e.runChain(b, remaining)
-					e.tieredInstrs += used
-					remaining -= used
-					switch st {
-					case stTerminal:
-						return res
-					case stDone:
-						continue
-					}
-					// stBail: the PC now sits on the bailing instruction;
-					// hand the rest of the block to the interpreter below.
-					if remaining == 0 {
-						ip.SyncClock()
-						return cpu.RunResult{Reason: cpu.StopLimit}
-					}
-					idx = int((m.PC - low.base) / isa.InstrBytes)
-					bi = low.blockIdx[idx]
-					b = &low.blocks[bi]
+				// stBail: the PC now sits on the bailing instruction;
+				// hand the rest of the block to the interpreter below.
+				if remaining == 0 {
+					ip.SyncClock()
+					return cpu.RunResult{Reason: cpu.StopLimit}
 				}
-			} else {
-				e.counts[bi]++
-				if e.counts[bi] >= e.PromoteAfter {
-					e.promoted[bi] = true
-					e.promotions++
-				}
+				idx = int((m.PC - low.base) / isa.InstrBytes)
+				bi = low.blockIdx[idx]
+				b = &low.blocks[bi]
 			}
 		}
 		if res, done := e.seg(uint64(b.End-idx), &remaining); done {
@@ -168,15 +142,15 @@ func (e *Engine) seg(steps uint64, remaining *uint64) (cpu.RunResult, bool) {
 	return cpu.RunResult{}, false
 }
 
-// runChain executes one promoted block's fused prefix, then chains: while
-// the successor PC is itself the leader of a promoted, gate-valid block
+// runChain executes one gate-admitted block's fused prefix, then chains:
+// while the successor PC is itself the leader of a fusable, gate-valid block
 // within budget, execution stays in the fused runner — the outer dispatch
 // (index recomputation, generation checks, result marshalling) is paid once
 // per chain instead of once per block. Chaining is sound because no fusable
-// operation can change the HFI generation, the mapping generation, or the
-// promotion state: the gate verdicts checked at chain entry hold for the
-// chain's lifetime. It returns the instructions retired (fused blocks
-// cannot take the non-retiring fetch/exec fault paths) and a status: stDone
+// operation can change the HFI generation or the mapping generation: the
+// gate verdicts checked at chain entry hold for the chain's lifetime. It
+// returns the instructions retired (fused blocks cannot take the
+// non-retiring fetch/exec fault paths) and a status: stDone
 // (chain ended at a non-chainable PC), stBail (a window compare failed
 // before any side effect — PC is the unexecuted instruction), or stTerminal
 // (an ExplicitEA fault went unhandled; res is final).
@@ -316,13 +290,13 @@ chain:
 	used += uint64(b.Span)
 	budget -= uint64(b.Span)
 
-	// Chain: follow the control transfer directly into the next promoted
-	// block. (A promoted block always has fused ops, so no len check.)
+	// Chain: follow the control transfer directly into the next fusable,
+	// gate-admitted block.
 	if off := pcNext - low.base; off < low.size && off%isa.InstrBytes == 0 {
 		idx := int(off / isa.InstrBytes)
 		bi := low.blockIdx[idx]
 		nb := &low.blocks[bi]
-		if idx == nb.Start && e.promoted[bi] && e.blockOK[bi] && budget >= uint64(nb.Span) {
+		if idx == nb.Start && len(nb.Ops) > 0 && e.blockOK[bi] && budget >= uint64(nb.Span) {
 			b = nb
 			goto chain
 		}
@@ -423,19 +397,10 @@ func (e *Engine) gateSync() {
 			}
 		}
 		e.blockOK[bi] = ok
+		if ok && len(b.Ops) > 0 {
+			e.admitted++
+		}
 	}
-}
-
-// demote clears all promotion state; called when the machine was Reset
-// under the engine (guest context switch).
-func (e *Engine) demote() {
-	for i := range e.counts {
-		e.counts[i] = 0
-	}
-	for i := range e.promoted {
-		e.promoted[i] = false
-	}
-	e.gateOK = false
 }
 
 // aluEval evaluates the generic fused ALU operations (OpAdd has dedicated
@@ -466,30 +431,19 @@ func aluEval(op isa.Op, a, b uint64) uint64 {
 	return 0
 }
 
-// Promoted returns the number of currently promoted blocks.
-func (e *Engine) Promoted() int {
-	n := 0
-	for _, p := range e.promoted {
-		if p {
-			n++
-		}
-	}
-	return n
-}
-
-// Counters returns the cumulative promotion count and the
-// tiered-vs-interpreted retirement split.
-func (e *Engine) Counters() (promotions, tieredInstrs, interpInstrs uint64) {
-	return e.promotions, e.tieredInstrs, e.interpInstrs
+// Counters returns the cumulative gate-admitted block count (summed over
+// every gateSync) and the tiered-vs-interpreted retirement split.
+func (e *Engine) Counters() (admitted, tieredInstrs, interpInstrs uint64) {
+	return e.admitted, e.tieredInstrs, e.interpInstrs
 }
 
 // TakeCounters returns the counter deltas since the previous call — the
 // harvest interface the FaaS host drains after each request.
-func (e *Engine) TakeCounters() (promotions, tieredInstrs, interpInstrs uint64) {
-	promotions = e.promotions - e.hPromotions
+func (e *Engine) TakeCounters() (admitted, tieredInstrs, interpInstrs uint64) {
+	admitted = e.admitted - e.hAdmitted
 	tieredInstrs = e.tieredInstrs - e.hTiered
 	interpInstrs = e.interpInstrs - e.hInterp
-	e.hPromotions, e.hTiered, e.hInterp = e.promotions, e.tieredInstrs, e.interpInstrs
+	e.hAdmitted, e.hTiered, e.hInterp = e.admitted, e.tieredInstrs, e.interpInstrs
 	return
 }
 
@@ -514,7 +468,7 @@ const rotGenSkew = 1 << 32
 // verdict is flipped; live rot additionally forges the gate's generation
 // tags ahead of both sources, claiming verdicts for generations that have
 // not happened (AuditGate must catch the impossible tags). Dead rot
-// demotes the gate instead (gateOK=false), so the flipped verdict is
+// kills the gate instead (gateOK=false), so the flipped verdict is
 // recomputed by gateSync before any fused block could trust it — rot in
 // dead state, undetectable and benign by construction. The shared
 // immutable Lowered artifact is never touched: rot is per-engine state,
@@ -548,14 +502,13 @@ func (e *Engine) AuditGate() bool {
 	return e.m.HFI.AuditTag(e.gateHfiGen) && e.m.AS.AuditTag(e.gateMapGen)
 }
 
-// Invalidate is the recovery path for detected gate rot: demote every
-// block (promotion is re-earned from a clean slate) and clear all cached
-// verdicts, forcing the next fused entry through a full gateSync
-// re-derivation — the "demote + re-lower the affected blocks" contract.
-// The shared Lowered artifact is immutable and needs no rebuilding; what
-// is re-derived is every per-engine conclusion drawn from it.
+// Invalidate is the recovery path for detected gate rot: clear all cached
+// verdicts and kill the gate, forcing the next fused entry through a full
+// gateSync re-derivation. The shared Lowered artifact is immutable and
+// needs no rebuilding; what is re-derived is every per-engine conclusion
+// drawn from it.
 func (e *Engine) Invalidate() {
-	e.demote()
+	e.gateOK = false
 	for i := range e.winOK {
 		e.winOK[i] = false
 	}

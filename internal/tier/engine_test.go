@@ -4,13 +4,14 @@ import (
 	"testing"
 
 	"hfi/internal/cpu"
+	"hfi/internal/hfi"
 	"hfi/internal/isa"
 	"hfi/internal/kernel"
 	"hfi/internal/verifier"
 )
 
 // buildFill builds a program that stores 7*i into buf[i] for i in 0..n-1
-// and halts — a canonical promotable store loop.
+// and halts — a canonical fusable store loop.
 func buildFill(base, buf uint64, n int64) *isa.Program {
 	b := isa.NewBuilder(base)
 	b.MovImm(isa.R0, 0)
@@ -97,20 +98,61 @@ func TestEngineMatchesInterp(t *testing.T) {
 		t.Fatal("lowering failed")
 	}
 	eng := NewEngine(ip, low)
-	eng.PromoteAfter = 1
 	got := snapshot(m, eng.Run(0))
 	if got != want {
 		t.Fatalf("tiered run diverged:\nwant %+v\ngot  %+v", want, got)
 	}
-	if _, tiered, _ := eng.Counters(); tiered == 0 {
-		t.Fatal("no fused instructions retired; the comparison is vacuous")
-	}
-	if eng.Promoted() == 0 {
-		t.Fatal("no blocks promoted")
+	if admitted, tiered, _ := eng.Counters(); tiered == 0 || admitted == 0 {
+		t.Fatalf("admitted=%d tiered=%d: nothing ran fused; the comparison is vacuous", admitted, tiered)
 	}
 }
 
-// TestFusedBailExactState: a promoted store loop whose window covers only
+// TestFirstVisitRunsFused: a straight-line program whose blocks each
+// execute exactly once still retires fused instructions — a gate-admitted
+// block runs fused from its first visit — and matches the interpreter.
+func TestFirstVisitRunsFused(t *testing.T) {
+	const base, buf = uint64(0x1000), uint64(0x100000)
+	build := func() *isa.Program {
+		b := isa.NewBuilder(base)
+		b.MovImm(isa.R2, int64(buf))
+		b.MovImm(isa.R3, 7)
+		b.Store(8, isa.R2, isa.RegNone, 1, 0, isa.R3)
+		b.Store(8, isa.R2, isa.RegNone, 1, 8, isa.R3)
+		b.Jmp("second")
+		b.Label("second")
+		b.Store(8, isa.R2, isa.RegNone, 1, 16, isa.R3)
+		b.Store(8, isa.R2, isa.RegNone, 1, 24, isa.R3)
+		b.Halt()
+		return b.Build()
+	}
+	newMachine := func() *cpu.Machine {
+		m := cpu.NewMachine()
+		if err := m.AS.MapFixed(buf, 0x1000, kernel.ProtRead|kernel.ProtWrite); err != nil {
+			t.Fatal(err)
+		}
+		m.MustLoadProgram(build())
+		m.PC = base
+		return m
+	}
+	ref := newMachine()
+	want := snapshot(ref, cpu.NewInterp(ref).Run(0))
+	if want.res.Reason != cpu.StopHalt {
+		t.Fatalf("interp stop = %v", want.res.Reason)
+	}
+
+	m := newMachine()
+	ip := cpu.NewInterp(m)
+	p := build()
+	eng := NewEngine(ip, Lower(p, syntheticFacts(p, buf, buf+32), ip.Cost))
+	if got := snapshot(m, eng.Run(0)); got != want {
+		t.Fatalf("tiered run diverged:\nwant %+v\ngot  %+v", want, got)
+	}
+	if _, tiered, _ := eng.Counters(); tiered == 0 {
+		t.Fatal("single-visit blocks never ran fused")
+	}
+}
+
+// TestFusedBailExactState: a fused store loop whose window covers only
 // the first mapped page runs fused until the store that crosses into the
 // unmapped page, bails mid-superinstruction with zero side effects, and
 // the interpreter raises the page fault — with machine state identical to
@@ -138,7 +180,6 @@ func TestFusedBailExactState(t *testing.T) {
 		t.Fatal("lowering failed")
 	}
 	eng := NewEngine(ip, low)
-	eng.PromoteAfter = 1
 	got := snapshot(m, eng.Run(0))
 	if got != want {
 		t.Fatalf("bail state diverged:\nwant %+v\ngot  %+v", want, got)
@@ -148,41 +189,85 @@ func TestFusedBailExactState(t *testing.T) {
 	}
 }
 
-// TestDemoteOnReset: Machine.Reset (the guest context-switch point) clears
-// promotion state; a subsequent run under an unreachable threshold stays
-// fully interpreted.
-func TestDemoteOnReset(t *testing.T) {
+// TestResetThenRegionChange: Machine.Reset carries no meaning for the
+// engine; what invalidates its verdicts is an HFI state write. A store
+// loop runs fused under a 64 KiB data region, the machine is Reset, the
+// region is narrowed to 16 bytes (HFI.Gen moves), and the loop runs again:
+// the gate must refuse the window the region no longer covers, and the
+// interpreter raises the data-bounds fault at the exact PC — fault,
+// registers and counters equal to a pure interpreter run of the same
+// sequence.
+func TestResetThenRegionChange(t *testing.T) {
 	const base, buf = uint64(0x1000), uint64(0x100000)
-	m := newFillMachine(t, base, buf, 0x10000, 64)
-	ip := cpu.NewInterp(m)
-	p := buildFill(base, buf, 64)
-	low := Lower(p, syntheticFacts(p, buf, buf+64*8), ip.Cost)
-	eng := NewEngine(ip, low)
-	eng.PromoteAfter = 1
-	if res := eng.Run(0); res.Reason != cpu.StopHalt {
-		t.Fatalf("first run stop = %v", res.Reason)
+	const n = 4
+	type hfiSnap struct {
+		machineSnap
+		fault                        hfi.Fault
+		checksData, checksCode, flts uint64
 	}
-	if eng.Promoted() == 0 {
-		t.Fatal("first run promoted nothing")
+	enter := func(m *cpu.Machine, mask uint64) {
+		t.Helper()
+		if f := m.HFI.SetDataRegion(0, hfi.ImplicitRegion{
+			BasePrefix: buf, LSBMask: mask, Read: true, Write: true,
+		}); f != nil {
+			t.Fatal(f)
+		}
+		if !m.HFI.Enabled {
+			if f := m.HFI.SetCodeRegion(0, hfi.ImplicitRegion{BasePrefix: base, LSBMask: 0xfff, Exec: true}); f != nil {
+				t.Fatal(f)
+			}
+			if _, f := m.HFI.Enter(hfi.Config{Hybrid: true}); f != nil {
+				t.Fatal(f)
+			}
+		}
 	}
-	eng.TakeCounters() // drain
+	// run executes the fill loop from base under a data region of
+	// mask+1 bytes, after a Reset when reset is set.
+	run := func(m *cpu.Machine, eng cpu.Engine, mask uint64, reset bool) hfiSnap {
+		if reset {
+			m.Reset()
+		}
+		enter(m, mask)
+		m.PC = base
+		s := hfiSnap{machineSnap: snapshot(m, eng.Run(0))}
+		if s.res.Fault != nil {
+			s.fault, s.res.Fault = *s.res.Fault, nil
+		}
+		s.checksData, s.checksCode, s.flts = m.HFI.ChecksData, m.HFI.ChecksCode, m.HFI.Faults
+		return s
+	}
 
-	m.Reset()
-	m.PC = base
-	eng.PromoteAfter = 1 << 30
-	if res := eng.Run(0); res.Reason != cpu.StopHalt {
-		t.Fatalf("second run stop = %v", res.Reason)
+	ref := newFillMachine(t, base, buf, 0x10000, n)
+	refIP := cpu.NewInterp(ref)
+	want1 := run(ref, refIP, 0xffff, false)
+	want2 := run(ref, refIP, 0xf, true)
+	if want1.res.Reason != cpu.StopHalt {
+		t.Fatalf("interp first run stop = %v", want1.res.Reason)
 	}
-	if eng.Promoted() != 0 {
-		t.Fatalf("promotions survived Reset: %d", eng.Promoted())
+	if want2.res.Reason != cpu.StopFault || want2.fault.Reason != hfi.FaultDataBounds {
+		t.Fatalf("interp second run = %+v (%v), want a data-bounds fault", want2.res, want2.fault.Reason)
 	}
-	if _, tiered, interp := eng.TakeCounters(); tiered != 0 || interp == 0 {
-		t.Fatalf("post-Reset split tiered=%d interp=%d, want fully interpreted", tiered, interp)
+
+	m := newFillMachine(t, base, buf, 0x10000, n)
+	ip := cpu.NewInterp(m)
+	p := buildFill(base, buf, n)
+	eng := NewEngine(ip, Lower(p, syntheticFacts(p, buf, buf+n*8), ip.Cost))
+	if got := run(m, eng, 0xffff, false); got != want1 {
+		t.Fatalf("first run diverged:\nwant %+v\ngot  %+v", want1, got)
+	}
+	if _, tiered, _ := eng.TakeCounters(); tiered == 0 {
+		t.Fatal("first run never ran fused; the comparison is vacuous")
+	}
+	if got := run(m, eng, 0xf, true); got != want2 {
+		t.Fatalf("post-Reset run diverged:\nwant %+v\ngot  %+v", want2, got)
+	}
+	if _, tiered, _ := eng.TakeCounters(); tiered != 0 {
+		t.Fatalf("gate admitted a window the narrowed region does not cover: %d fused instrs", tiered)
 	}
 }
 
 // TestTierHotLoopZeroAllocs is the allocation gate for the tiered hot
-// loop: after a warm run promotes the store loop, re-running the program
+// loop: after a warm run has synced the gate, re-running the program
 // end to end — fused blocks, interpreter segments, gate checks — must not
 // allocate.
 func TestTierHotLoopZeroAllocs(t *testing.T) {
@@ -219,7 +304,6 @@ func TestGateRefusesUnmappedWindow(t *testing.T) {
 	// gate must catch it wholesale.
 	low := Lower(p, syntheticFacts(p, buf+0x40000, buf+0x41000), ip.Cost)
 	eng := NewEngine(ip, low)
-	eng.PromoteAfter = 1
 	if res := eng.Run(0); res.Reason != cpu.StopHalt {
 		t.Fatalf("stop = %v", res.Reason)
 	}
@@ -267,7 +351,6 @@ func TestForgedWindowOverCanary(t *testing.T) {
 			ip := cpu.NewInterp(m)
 			p := buildFill(base, buf, n)
 			eng := NewEngine(ip, Lower(p, syntheticFacts(p, tc.lo, tc.hi), ip.Cost))
-			eng.PromoteAfter = 1
 			res := eng.Run(0)
 			if res.Reason != cpu.StopFault || !res.PageFault || res.FaultAddr != canary {
 				t.Fatalf("stop = %+v, want a page fault at the canary %#x", res, canary)

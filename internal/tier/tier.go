@@ -89,7 +89,7 @@ type fused struct {
 }
 
 // Block is one lowered basic block: a fused prefix (possibly covering the
-// whole block, control transfer included) plus bookkeeping for promotion
+// whole block, control transfer included) plus bookkeeping for gating
 // and exact fallback.
 type Block struct {
 	Start, End int    // source instruction index range [Start, End)

@@ -42,10 +42,12 @@
 # the hostcall handlers, the closed verifier rule vocabulary) that plain
 # vet cannot express. A dedicated uncached -race pass over the verifier and
 # mutation packages closes the loop on the analysis code itself; the same
-# pass covers internal/stats, internal/mem and internal/sandbox, whose
-# allocation gates (TestRecordZeroAllocs, TestRecorderBoundedMemory,
-# TestDigestCostFollowsResidentPages, TestHeapHashZeroAllocs) measure the
-# process and must not be served from the test cache. Two 10 s fuzz smokes
+# pass covers internal/stats, internal/mem, internal/sandbox and
+# internal/tier, whose allocation gates (TestRecordZeroAllocs,
+# TestRecorderBoundedMemory, TestDigestCostFollowsResidentPages,
+# TestHeapHashZeroAllocs, TestTierHotLoopZeroAllocs — the last also runs
+# the gate derivation every cold engine pays on its first block) measure
+# the process and must not be served from the test cache. Two 10 s fuzz smokes
 # follow: FuzzHistogram, the shard ledger's latency histogram against
 # stats.Percentile on arbitrary float64 streams, and FuzzHeapDigest, the
 # verified-reset digest against a direct content comparison of two sparse
@@ -80,8 +82,8 @@ go run ./cmd/hfiverify -class hostcall
 echo "== hfiverify -facts: analyzer facts + independent audit over the corpus"
 go run ./cmd/hfiverify -facts >/dev/null
 echo "corpus facts audited"
-echo "== go test -race -count=1 (uncached): verifier + mutation + stats + mem + sandbox"
-go test -race -short -count=1 ./internal/verifier ./internal/mutation ./internal/lint ./internal/stats ./internal/mem ./internal/sandbox
+echo "== go test -race -count=1 (uncached): verifier + mutation + stats + mem + sandbox + tier"
+go test -race -short -count=1 ./internal/verifier ./internal/mutation ./internal/lint ./internal/stats ./internal/mem ./internal/sandbox ./internal/tier
 echo "== fuzz smoke: FuzzHistogram, 10 s"
 go test -run '^$' -fuzz=FuzzHistogram -fuzztime=10s ./internal/stats
 echo "== fuzz smoke: FuzzHeapDigest, 10 s"
