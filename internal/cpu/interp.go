@@ -62,10 +62,6 @@ type Interp struct {
 	M    *Machine
 	Cost CostModel
 
-	// UseCaches enables the cache hierarchy for load/store cost; when
-	// false loads cost their base (pure-compute calibration runs).
-	UseCaches bool
-
 	// NoFastPath disables the dispatch fast paths — the machine's fetch
 	// code cache and the 1-entry data-translation cache — forcing every
 	// fetch through the binary search and every access through the full
@@ -93,10 +89,9 @@ type Interp struct {
 	costTabOK bool
 }
 
-// NewInterp returns an interpreter over m with the default cost model and
-// caches enabled.
+// NewInterp returns an interpreter over m with the default cost model.
 func NewInterp(m *Machine) *Interp {
-	return &Interp{M: m, Cost: DefaultCostModel(), UseCaches: true}
+	return &Interp{M: m, Cost: DefaultCostModel()}
 }
 
 // Table expands the model into the per-opcode dispatch charge. Opcodes
@@ -143,10 +138,6 @@ func (ip *Interp) chargeMem(addr uint64, store bool) {
 	base := ip.Cost.Load
 	if store {
 		base = ip.Cost.Store
-	}
-	if !ip.UseCaches {
-		ip.charge(base)
-		return
 	}
 	var lat int
 	if store {

@@ -86,10 +86,13 @@ type TenantInstance struct {
 	pendingFault hostcall.Fault
 }
 
-// Images is the process-wide shared code-image cache. Every Provision runs
-// on a fresh machine, so the allocator hands identical layouts to identical
-// (tenant, config) provisions; the first one compiles and verifies, the
-// rest — across workers, pools, and goroutines — share the immutable image.
+// Images is the process-wide code-image cache behind Provision. Every
+// provision runs on a fresh machine, so the allocator hands identical
+// layouts to identical (tenant, config) provisions; the first one compiles
+// and verifies, the rest share the immutable image. No serving code uses
+// it: each host.Server owns its own cache and passes it to
+// ProvisionShared. It stays for the benchmark module and single-tenant
+// experiment drivers.
 var Images = sandbox.NewCodeCache()
 
 // transienter is the opt-in interface for retryable provisioning errors.
@@ -112,14 +115,15 @@ func IsTransient(err error) bool {
 }
 
 // Provision instantiates tenant under cfg on a fresh machine and returns
-// the warm instance ready to serve requests. Code images are shared through
-// the package-wide Images cache.
+// the warm instance ready to serve requests, sharing code images through
+// the process-wide Images cache. No serving code uses it; see Images.
 func Provision(tenant workloads.Tenant, cfg Config) (*TenantInstance, error) {
 	return ProvisionShared(tenant, cfg, Images)
 }
 
-// ProvisionShared is Provision with an explicit image cache (nil compiles
-// privately — the pre-cache behaviour, kept for differential tests).
+// ProvisionShared is Provision with an explicit image cache, the one every
+// host.Server worker calls with its server's cache. A nil cache compiles
+// privately: the instance's runtime gets a cache of its own.
 func ProvisionShared(tenant workloads.Tenant, cfg Config, images *sandbox.CodeCache) (*TenantInstance, error) {
 	rt := sandbox.NewRuntime()
 	rt.Serialized = cfg.HFINative

@@ -82,6 +82,48 @@ func TestSharedImageAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestConcurrentColdProvisionBuildsOnce: 8 workers provision one cold key
+// at the same moment. Exactly one compiles, verifies and lowers; the other
+// seven wait for that build and share its image and lowering. Under -race
+// this is the proof that the per-key wait publishes the entry safely.
+func TestConcurrentColdProvisionBuildsOnce(t *testing.T) {
+	tenant := workloads.FaaSTenantsLight()[0]
+	cfg := Config{Name: "HFI", Scheme: sfi.HFI}
+	images := sandbox.NewCodeCache()
+
+	const workers = 8
+	tis := make([]*TenantInstance, workers)
+	errs := make([]error, workers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range tis {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			tis[i], errs[i] = ProvisionShared(tenant, cfg, images)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("worker %d: %v", i, err)
+		}
+	}
+	for i := 1; i < workers; i++ {
+		if tis[i].Inst.C != tis[0].Inst.C || tis[i].Inst.Lowered != tis[0].Inst.Lowered {
+			t.Fatalf("worker %d built a private image or lowering; want the shared one", i)
+		}
+	}
+	if tis[0].Inst.Lowered == nil {
+		t.Fatal("verified image carries no lowering")
+	}
+	if hits, misses := images.Stats(); misses != 1 || hits != workers-1 {
+		t.Fatalf("image cache hits=%d misses=%d, want %d/1", hits, misses, workers-1)
+	}
+}
+
 type mismatchError struct {
 	seq       int
 	got, want uint64

@@ -41,7 +41,7 @@ func TestSharedLoweringAcrossWorkers(t *testing.T) {
 			t.Fatalf("worker %d built a private lowering; want the shared one", i)
 		}
 	}
-	if hits, misses := images.LoweringStats(); misses != 1 || hits != workers-1 {
+	if hits, misses := images.Stats(); misses != 1 || hits != workers-1 {
 		t.Fatalf("lowering cache hits=%d misses=%d, want %d/1", hits, misses, workers-1)
 	}
 
@@ -96,9 +96,9 @@ func TestSharedLoweringAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestLoweringEvictedWithImage: evicting a module drops its lowerings
-// together with its images — an orphaned lowering would pin the dead image
-// — and a later provision rebuilds both.
+// TestLoweringEvictedWithImage: evicting a module drops each image's
+// lowering together with the image — an orphaned lowering would pin the
+// dead image — and a later provision rebuilds both.
 func TestLoweringEvictedWithImage(t *testing.T) {
 	tenant := workloads.FaaSTenantsLight()[0]
 	cfg := Config{Name: "HFI", Scheme: sfi.HFI}
@@ -107,15 +107,13 @@ func TestLoweringEvictedWithImage(t *testing.T) {
 	if _, err := ProvisionShared(tenant, cfg, images); err != nil {
 		t.Fatal(err)
 	}
-	imgs, lows := images.Entries()
-	if imgs == 0 || lows == 0 {
-		t.Fatalf("warm cache entries images=%d lowerings=%d, want both > 0", imgs, lows)
+	if n := images.Entries(); n == 0 {
+		t.Fatalf("warm cache entries = %d, want > 0", n)
 	}
 
 	images.Evict(tenant.Mod)
-	imgs, lows = images.Entries()
-	if imgs != 0 || lows != 0 {
-		t.Fatalf("post-evict entries images=%d lowerings=%d, want 0/0", imgs, lows)
+	if n := images.Entries(); n != 0 {
+		t.Fatalf("post-evict entries = %d, want 0", n)
 	}
 
 	ti, err := ProvisionShared(tenant, cfg, images)
@@ -125,7 +123,7 @@ func TestLoweringEvictedWithImage(t *testing.T) {
 	if ti.Inst.Lowered == nil {
 		t.Fatal("re-provision after eviction lost the lowering")
 	}
-	if _, misses := images.LoweringStats(); misses != 2 {
+	if _, misses := images.Stats(); misses != 2 {
 		t.Fatalf("lowering misses = %d, want 2 (cold + post-evict rebuild)", misses)
 	}
 }

@@ -71,6 +71,7 @@ import (
 	"hfi/internal/chaos"
 	"hfi/internal/cpu"
 	"hfi/internal/faas"
+	"hfi/internal/sandbox"
 	"hfi/internal/stats"
 	"hfi/internal/tier"
 	"hfi/internal/verifier"
@@ -410,6 +411,10 @@ type Server struct {
 	closedRefs atomic.Uint64
 	poolSize   atomic.Int64
 	poolHigh   atomic.Int64
+
+	// images is the one cache every worker provisions through: it lives
+	// as long as the server, and its counts are this server's alone.
+	images *sandbox.CodeCache
 }
 
 // New starts a server with cfg.Workers goroutines waiting on the
@@ -429,6 +434,7 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		rec:     stats.NewRecorder(),
 		started: time.Now(),
+		images:  sandbox.NewCodeCache(),
 	}
 	s.sched = newScheduler(&s.cfg)
 	s.sched.srv = s
@@ -673,9 +679,10 @@ type Counters struct {
 
 	// Tiered-engine activity across all workers: gate-admitted blocks
 	// (fusable blocks each gate derivation admitted, summed), the
-	// guest-instruction retirement split between the tiers,
-	// and the shared lowering cache's hit rate (read from faas.Images, the
-	// same cache every worker provisions through).
+	// guest-instruction retirement split between the tiers, and the
+	// lowering hits and misses of the server's own image cache, which every
+	// worker provisions through (a lowering is built exactly when its
+	// image is, so these are the image counts).
 	TierPromotedBlocks uint64 `json:"tier_promoted_blocks"`
 	TierInstrs         uint64 `json:"tier_instrs"`
 	TierInterpInstrs   uint64 `json:"tier_interp_instrs"`
@@ -722,7 +729,7 @@ func (s *Server) counters(led stats.Counts) Counters {
 
 		Substrate: led.Substrate,
 	}
-	c.LoweringHits, c.LoweringMisses = faas.Images.LoweringStats()
+	c.LoweringHits, c.LoweringMisses = s.images.Stats()
 	return c
 }
 
@@ -1085,7 +1092,7 @@ func (s *Server) provision(id int, rng *rand.Rand, req Request) (*faas.TenantIns
 		err := s.cfg.Chaos.ProvisionError(name, attempt)
 		var ti *faas.TenantInstance
 		if err == nil {
-			ti, err = faas.Provision(req.Tenant, req.Iso)
+			ti, err = faas.ProvisionShared(req.Tenant, req.Iso, s.images)
 		}
 		if err == nil {
 			if s.cfg.OnProvision != nil {

@@ -254,3 +254,29 @@ func TestRejectedTenantDistinctFromShed(t *testing.T) {
 		t.Fatalf("executed = %d, want 1 (the healthy request only)", sum.Executed())
 	}
 }
+
+// TestServersOwnTheirImageCaches: two servers in one process each compile
+// through their own image cache, so each reports only its own lowering
+// counts — a tenant both serve is a miss on both.
+func TestServersOwnTheirImageCaches(t *testing.T) {
+	light := workloads.FaaSTenantsLight()
+	iso := faas.StockLucet()
+	a, b := New(Config{Workers: 1}), New(Config{Workers: 1})
+	defer a.Close()
+	defer b.Close()
+	for _, r := range []struct {
+		s  *Server
+		tn workloads.Tenant
+	}{{a, light[0]}, {b, light[0]}, {b, light[1]}} {
+		if resp := r.s.Do(context.Background(), treq(r.tn, iso, 0)); resp.Status != StatusOK {
+			t.Fatalf("%s: status %v (%v)", r.tn.Name, resp.Status, resp.Err)
+		}
+	}
+	ca, cb := a.Counters(), b.Counters()
+	if ca.LoweringHits != 0 || ca.LoweringMisses != 1 {
+		t.Errorf("server a lowering hits/misses = %d/%d, want 0/1", ca.LoweringHits, ca.LoweringMisses)
+	}
+	if cb.LoweringHits != 0 || cb.LoweringMisses != 2 {
+		t.Errorf("server b lowering hits/misses = %d/%d, want 0/2", cb.LoweringHits, cb.LoweringMisses)
+	}
+}

@@ -6,6 +6,7 @@ import (
 
 	"hfi/internal/cpu"
 	"hfi/internal/faas"
+	"hfi/internal/sandbox"
 	"hfi/internal/sfi"
 	"hfi/internal/workloads"
 )
@@ -68,13 +69,14 @@ func BuildSchedule(mix []Class, total int, seed int64) []Request {
 func ReferenceChecksum(mix []Class, total int, seed int64) (uint64, error) {
 	reqs := BuildSchedule(mix, total, seed)
 	instances := make(map[poolKey]*faas.TenantInstance)
+	images := sandbox.NewCodeCache()
 	var sum uint64
 	for _, r := range reqs {
 		key := poolKey{r.Tenant.Name, r.Iso}
 		ti := instances[key]
 		if ti == nil {
 			var err error
-			ti, err = faas.Provision(r.Tenant, r.Iso)
+			ti, err = faas.ProvisionShared(r.Tenant, r.Iso, images)
 			if err != nil {
 				return 0, err
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"hfi/internal/cpu"
 	"hfi/internal/sfi"
@@ -25,29 +26,44 @@ import (
 // region tables) lives in per-machine memory, never in the image. The real
 // compile runs the static safety verifier before the image enters the
 // cache, so every runtime that shares it shares a *verified* image keyed by
-// the exact layout it was verified against; a runtime whose allocator
-// produced different addresses misses and compiles (and verifies) its own.
+// the exact layout and options it was verified against; a runtime whose
+// allocator produced different addresses misses and compiles (and
+// verifies) its own. Each image is stored with the tiered engine's lowering
+// of it, built right after the compile: the lowering is a pure function of
+// (Prog, Facts, cost model), all frozen at compile time, and all mutable
+// tier state lives in the per-instance Engine.
 //
-// CodeCache is safe for concurrent use. The lock is held across compiles so
-// a key is compiled at most once no matter how many workers race to
-// provision the same tenant.
+// CodeCache is safe for concurrent use. Each key is built exactly once, by
+// its first caller, and never under the map lock: later callers of the
+// same key wait for that build, callers of other keys do not wait at all.
+// A failed build is not cached: its entry leaves the map and every caller
+// waiting on it gets the error.
 type CodeCache struct {
 	mu     sync.Mutex
-	sizes  map[sizeKey]uint64
-	images map[imageKey]*wasm.Compiled
+	sizes  map[sizeKey]*entry[uint64]
+	images map[imageKey]*entry[image]
 
-	// lowerings caches the tiered engine's per-image lowering next to the
-	// image it was derived from, keyed by image identity: the lowering is
-	// a pure function of (Prog, Facts, cost model), all frozen at compile
-	// time, so one lowering per module × scheme × geometry is shared
-	// across every worker — the same argument as image sharing, and the
-	// same immutability contract (all mutable tier state lives in the
-	// per-instance Engine).
-	lowerings            map[*wasm.Compiled]*tier.Lowered
-	lowHits, lowMisses   uint64
-
-	hits, misses uint64
+	hits, misses atomic.Uint64 // image lookups (probe lookups excluded)
 }
+
+// image is one cache entry's payload: a verified compilation and its
+// lowering (nil when the image carries no facts).
+type image struct {
+	c   *wasm.Compiled
+	low *tier.Lowered
+}
+
+// entry is one key's build. The caller that inserts it fills val and err
+// and then closes done; every other caller of the key waits on done.
+type entry[V any] struct {
+	done chan struct{}
+	val  V
+	err  error
+}
+
+// compile is the compiler the cache builds through; a variable so a test
+// can hold one key's build open.
+var compile = wasm.Compile
 
 // sizeKey identifies a layout probe: code size depends on the module, the
 // scheme, and the compile options, but not on the layout addresses.
@@ -75,86 +91,81 @@ func layoutFingerprint(lay wasm.Layout) string {
 	return b.String()
 }
 
-// normalizeOpts canonicalizes options for keying: NoVerify changes what
-// work is done, not what code is produced, so probe and real compiles of
-// the same module share probe results.
-func normalizeOpts(opts wasm.Options) wasm.Options {
-	opts.NoVerify = false
-	return opts
-}
-
 // NewCodeCache returns an empty cache.
 func NewCodeCache() *CodeCache {
 	return &CodeCache{
-		sizes:     make(map[sizeKey]uint64),
-		images:    make(map[imageKey]*wasm.Compiled),
-		lowerings: make(map[*wasm.Compiled]*tier.Lowered),
+		sizes:  make(map[sizeKey]*entry[uint64]),
+		images: make(map[imageKey]*entry[image]),
 	}
+}
+
+// once returns the value of key k in m, building it on the first request.
+// The map lock covers only the lookup and the insert; hit reports whether
+// the key already had an entry.
+func once[K comparable, V any](cc *CodeCache, m map[K]*entry[V], k K, build func() (V, error)) (v V, hit bool, err error) {
+	cc.mu.Lock()
+	e, hit := m[k]
+	if !hit {
+		e = &entry[V]{done: make(chan struct{})}
+		m[k] = e
+	}
+	cc.mu.Unlock()
+	if hit {
+		<-e.done
+		return e.val, true, e.err
+	}
+	e.val, e.err = build()
+	if e.err != nil {
+		cc.mu.Lock()
+		if m[k] == e { // Evict may already have dropped it
+			delete(m, k)
+		}
+		cc.mu.Unlock()
+	}
+	close(e.done)
+	return e.val, false, e.err
 }
 
 // probeSize returns the code size (in bytes, excluding springboard slots)
 // of mod compiled under scheme/opts, running the throwaway layout probe on
-// the first request for a key and answering later ones from the cache.
+// the first request for a key and answering later ones from the cache. The
+// probe is never executed, so it is never verified: NoVerify is part of
+// neither its work nor its key.
 func (cc *CodeCache) probeSize(mod *wasm.Module, scheme sfi.Scheme, opts wasm.Options) (uint64, error) {
-	k := sizeKey{mod: mod, scheme: scheme, opts: normalizeOpts(opts)}
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if size, ok := cc.sizes[k]; ok {
-		return size, nil
-	}
-	popts := opts
-	popts.NoVerify = true
-	probe, err := wasm.Compile(mod, scheme, probeLayout, popts)
-	if err != nil {
-		return 0, err
-	}
-	cc.sizes[k] = probe.Prog.Size()
-	return probe.Prog.Size(), nil
+	opts.NoVerify = true
+	size, _, err := once(cc, cc.sizes, sizeKey{mod, scheme, opts}, func() (uint64, error) {
+		probe, err := compile(mod, scheme, probeLayout, opts)
+		if err != nil {
+			return 0, err
+		}
+		return probe.Prog.Size(), nil
+	})
+	return size, err
 }
 
-// compile returns the verified image for (mod, scheme, lay, opts), sharing
-// one compilation across every caller with the same key.
-func (cc *CodeCache) compile(mod *wasm.Module, scheme sfi.Scheme, lay wasm.Layout, opts wasm.Options) (*wasm.Compiled, error) {
-	k := imageKey{
-		sizeKey: sizeKey{mod: mod, scheme: scheme, opts: normalizeOpts(opts)},
-		lay:     layoutFingerprint(lay),
+// load returns the image and lowering for (mod, scheme, lay, opts),
+// sharing one compilation across every caller with the same key. opts is
+// keyed whole: an image compiled with NoVerify is never handed to a caller
+// that asked for verification.
+func (cc *CodeCache) load(mod *wasm.Module, scheme sfi.Scheme, lay wasm.Layout, opts wasm.Options) (image, error) {
+	k := imageKey{sizeKey{mod, scheme, opts}, layoutFingerprint(lay)}
+	img, hit, err := once(cc, cc.images, k, func() (image, error) {
+		c, err := compile(mod, scheme, lay, opts)
+		if err != nil {
+			return image{}, err
+		}
+		return image{c, tier.Lower(c.Prog, c.Facts, cpu.DefaultCostModel())}, nil
+	})
+	if hit {
+		cc.hits.Add(1)
+	} else {
+		cc.misses.Add(1)
 	}
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if c, ok := cc.images[k]; ok {
-		cc.hits++
-		return c, nil
-	}
-	cc.misses++
-	c, err := wasm.Compile(mod, scheme, lay, opts)
-	if err != nil {
-		return nil, err
-	}
-	cc.images[k] = c
-	return c, nil
+	return img, err
 }
 
-// Lowering returns the tiered-engine lowering for a cached image, building
-// it on first request. The lock is held across the lowering so it is built
-// at most once per image no matter how many workers race. A nil result
-// (image carries no facts) is cached too.
-func (cc *CodeCache) Lowering(c *wasm.Compiled) *tier.Lowered {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if low, ok := cc.lowerings[c]; ok {
-		cc.lowHits++
-		return low
-	}
-	cc.lowMisses++
-	low := tier.Lower(c.Prog, c.Facts, cpu.DefaultCostModel())
-	cc.lowerings[c] = low
-	return low
-}
-
-// Evict drops every cache entry derived from mod — probe sizes, images,
-// and the lowerings keyed by those images. Lowerings must leave with their
-// image: a later re-compile produces a new *wasm.Compiled, and an orphaned
-// lowering entry would pin the old image (and its facts) forever.
+// Evict drops every cache entry derived from mod: probe sizes, and images
+// together with the lowering built for each.
 func (cc *CodeCache) Evict(mod *wasm.Module) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
@@ -163,31 +174,23 @@ func (cc *CodeCache) Evict(mod *wasm.Module) {
 			delete(cc.sizes, k)
 		}
 	}
-	for k, c := range cc.images {
+	for k := range cc.images {
 		if k.mod == mod {
 			delete(cc.images, k)
-			delete(cc.lowerings, c)
 		}
 	}
 }
 
-// Entries reports the live image- and lowering-cache entry counts.
-func (cc *CodeCache) Entries() (images, lowerings int) {
+// Entries reports the live image-cache entry count.
+func (cc *CodeCache) Entries() int {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	return len(cc.images), len(cc.lowerings)
+	return len(cc.images)
 }
 
-// Stats reports image-cache hits and misses (probe lookups excluded).
+// Stats reports image-cache hits and misses (probe lookups excluded). A
+// lowering is built exactly when its image is, so these are the lowering
+// counts too.
 func (cc *CodeCache) Stats() (hits, misses uint64) {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	return cc.hits, cc.misses
-}
-
-// LoweringStats reports lowering-cache hits and misses.
-func (cc *CodeCache) LoweringStats() (hits, misses uint64) {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	return cc.lowHits, cc.lowMisses
+	return cc.hits.Load(), cc.misses.Load()
 }

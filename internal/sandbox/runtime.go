@@ -40,10 +40,12 @@ type Runtime struct {
 	// "Lucet+HFI using native sandbox" configuration.
 	WrapNative bool
 
-	// Images, when non-nil, shares compiled code images (and layout-probe
-	// results) with other runtimes through a CodeCache: instantiating the
-	// same module with the same scheme, options, and resulting layout
-	// reuses one verified immutable image instead of recompiling.
+	// Images is the CodeCache every instantiation compiles and lowers
+	// through. Runtimes that share one share code images (each with its
+	// lowering) and layout-probe results: instantiating the same module
+	// with the same scheme, options, and resulting layout reuses one
+	// verified immutable image instead of recompiling. Left nil, it
+	// becomes a private cache on first use.
 	Images *CodeCache
 
 	instances []*Instance
@@ -81,12 +83,11 @@ type Instance struct {
 	springProg  *isa.Program
 	wrapped     bool // native-wrap mode (see Runtime.WrapNative)
 
-	// Lowered is the tiered-engine lowering of this instance's program:
-	// shared from the runtime's CodeCache when one is installed (one
-	// lowering per module × scheme × geometry), built privately otherwise,
-	// and nil when the image carries no facts. Hosts that want tiered
-	// execution construct a tier.Engine over it; Invoke works with any
-	// cpu.Engine.
+	// Lowered is the tiered-engine lowering of this instance's program,
+	// built with its image in the runtime's CodeCache (one lowering per
+	// module × scheme × options × geometry), and nil when the image carries
+	// no facts. Hosts that want tiered execution construct a tier.Engine
+	// over it; Invoke works with any cpu.Engine.
 	Lowered *tier.Lowered
 
 	// CurPages mirrors the guest-side page counter.
@@ -118,22 +119,15 @@ func (rt *Runtime) Instantiate(mod *wasm.Module, scheme sfi.Scheme, opts wasm.Op
 	// First compilation with a throwaway layout to learn the code size
 	// (code size is layout-independent; only immediates change). The probe
 	// is never executed, so it skips verification; the real compilation
-	// below is verified against the real layout. A shared CodeCache
-	// answers repeat probes without compiling.
-	var progSize uint64
-	if rt.Images != nil {
-		var err error
-		if progSize, err = rt.Images.probeSize(mod, scheme, opts); err != nil {
-			return nil, err
-		}
-	} else {
-		popts := opts
-		popts.NoVerify = true
-		probe, err := wasm.Compile(mod, scheme, probeLayout, popts)
-		if err != nil {
-			return nil, err
-		}
-		progSize = probe.Prog.Size()
+	// below is verified against the real layout. A runtime with no shared
+	// CodeCache gets a private one, so every instance compiles through the
+	// same path.
+	if rt.Images == nil {
+		rt.Images = NewCodeCache()
+	}
+	progSize, err := rt.Images.probeSize(mod, scheme, opts)
+	if err != nil {
+		return nil, err
 	}
 
 	const springSlots = 16 // reserved instruction slots for the springboard
@@ -239,23 +233,13 @@ func (rt *Runtime) Instantiate(mod *wasm.Module, scheme sfi.Scheme, opts wasm.Op
 		StackSize:  stackSize,
 	}
 	lay.ExtraMemBases = extraBases
-	var c *wasm.Compiled
-	if rt.Images != nil {
-		c, err = rt.Images.compile(mod, scheme, lay, opts)
-	} else {
-		c, err = wasm.Compile(mod, scheme, lay, opts)
-	}
+	img, err := rt.Images.load(mod, scheme, lay, opts)
 	if err != nil {
 		return nil, err
 	}
+	c := img.c
 	if err := m.LoadPrelinked(c.Prog); err != nil {
 		return nil, err
-	}
-	var low *tier.Lowered
-	if rt.Images != nil {
-		low = rt.Images.Lowering(c)
-	} else {
-		low = tier.Lower(c.Prog, c.Facts, cpu.DefaultCostModel())
 	}
 
 	inst := &Instance{
@@ -266,7 +250,7 @@ func (rt *Runtime) Instantiate(mod *wasm.Module, scheme sfi.Scheme, opts wasm.Op
 		ExtraMemBases: extraBases, ExtraMemReserved: extraReserved,
 		CurPages: mod.MemPages,
 		EntryPC:  c.Prog.Entry("__start"),
-		Lowered:  low,
+		Lowered:  img.low,
 	}
 
 	// Initialize runtime globals and data segments.

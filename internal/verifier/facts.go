@@ -2,7 +2,6 @@ package verifier
 
 import (
 	"hfi/internal/isa"
-	"hfi/internal/kernel"
 	"hfi/internal/sfi"
 )
 
@@ -62,39 +61,18 @@ type HostcallFact struct {
 	BufEnd uint64
 }
 
-// OpCounts is a scheme-neutral static cost summary of a basic block, by
-// opcode class.
-type OpCounts struct {
-	ALU    int // moves, arithmetic, logic, fences
-	MulDiv int
-	Mem    int // loads and stores, plain and explicit-region
-	Branch int // branches, jumps, calls, rets
-	Other  int
-}
-
-// UniformRange is a maximal run of consecutive memory operations inside
-// one block whose proven effective addresses all fall in one OS page: a
-// tiered engine may hoist their page decision to the run head. From/To are
-// instruction indices, half-open.
-type UniformRange struct {
-	From, To int
-	Page     uint64
-}
-
 // BlockFact summarizes one basic block.
 type BlockFact struct {
 	Start, End int
 	// NoSideExit: no instruction in the block can fault, trap, or halt —
 	// control provably leaves only through the terminator's edges.
 	NoSideExit bool
-	Cost       OpCounts
-	Uniform    []UniformRange
 }
 
 // Facts is the proof artifact Analyze emits alongside a successful
 // verification. It is immutable once built and travels with the verified
-// program through sandbox.CodeCache / faas.Images, so shared warm images
-// carry their proofs.
+// program through sandbox.CodeCache, so shared warm images carry their
+// proofs.
 type Facts struct {
 	Scheme    sfi.Scheme
 	NumInstrs int
@@ -162,9 +140,6 @@ func (f *Facts) Clone() *Facts {
 		c.Hostcalls[k] = v
 	}
 	c.Blocks = append([]BlockFact(nil), f.Blocks...)
-	for i := range c.Blocks {
-		c.Blocks[i].Uniform = append([]UniformRange(nil), f.Blocks[i].Uniform...)
-	}
 	return &c
 }
 
@@ -342,8 +317,8 @@ func (v *verification) buildFacts() *Facts {
 
 	// Block facts.
 	f.Blocks = make([]BlockFact, len(g.Blocks))
-	for b := range g.Blocks {
-		f.Blocks[b] = v.blockFact(g, b, f)
+	for b, blk := range g.Blocks {
+		f.Blocks[b] = v.blockFact(blk)
 	}
 
 	// Coverage: heap ops carrying any elidable fact.
@@ -378,65 +353,15 @@ func sideExitFree(op isa.Op) bool {
 	return false
 }
 
-// blockFact summarizes one block: side-exit freedom, static cost counts,
-// and maximal page-uniform runs of its memory operations.
-func (v *verification) blockFact(g *CFG, b int, f *Facts) BlockFact {
-	blk := &g.Blocks[b]
+// blockFact summarizes one block: its bounds and side-exit freedom.
+func (v *verification) blockFact(blk BasicBlock) BlockFact {
 	bf := BlockFact{Start: blk.Start, End: blk.End, NoSideExit: true}
-	const pageMask = ^uint64(kernel.OSPageSize - 1)
-	runStart, runPage := -1, uint64(0)
-	flush := func(end int) {
-		if runStart >= 0 {
-			bf.Uniform = append(bf.Uniform, UniformRange{From: runStart, To: end, Page: runPage})
-			runStart = -1
-		}
-	}
 	for idx := blk.Start; idx < blk.End; idx++ {
-		in := &v.p.Instrs[idx]
-		if !sideExitFree(in.Op) {
+		if !sideExitFree(v.p.Instrs[idx].Op) {
 			bf.NoSideExit = false
-		}
-		switch in.Op {
-		case isa.OpMul, isa.OpDiv, isa.OpRem:
-			bf.Cost.MulDiv++
-		case isa.OpLoad, isa.OpStore, isa.OpHLoad, isa.OpHStore:
-			bf.Cost.Mem++
-		case isa.OpBr, isa.OpJmp, isa.OpJmpInd, isa.OpCall, isa.OpCallInd, isa.OpRet:
-			bf.Cost.Branch++
-		case isa.OpNop, isa.OpMovImm, isa.OpMov,
-			isa.OpAdd, isa.OpSub, isa.OpAnd, isa.OpOr, isa.OpXor,
-			isa.OpShl, isa.OpShr, isa.OpSar, isa.OpNot, isa.OpNeg, isa.OpFence:
-			bf.Cost.ALU++
-		default:
-			bf.Cost.Other++
-		}
-		switch in.Op {
-		case isa.OpLoad, isa.OpStore:
-			o := v.fc.mem[idx]
-			page := uint64(0)
-			single := false
-			if o != nil && o.seen && !o.frame {
-				if end, ok := satAdd(o.ea.Hi, uint64(in.Size)); ok && end > 0 {
-					if o.ea.Lo&pageMask == (end-1)&pageMask {
-						page, single = o.ea.Lo&pageMask, true
-					}
-				}
-			}
-			switch {
-			case single && runStart >= 0 && page == runPage:
-				// run continues
-			case single:
-				flush(idx)
-				runStart, runPage = idx, page
-			default:
-				flush(idx)
-			}
-		case isa.OpHLoad, isa.OpHStore:
-			// Region-relative address: page unknown statically.
-			flush(idx)
+			break
 		}
 	}
-	flush(blk.End)
 	return bf
 }
 
@@ -545,32 +470,19 @@ func AuditFacts(p *isa.Program, cfg Config, claimed *Facts) error {
 		}
 	}
 
-	// Block facts: structure and cost must reproduce; side-exit freedom
-	// and uniform ranges must be subsumed by the fresh derivation.
+	// Block facts: bounds must reproduce; side-exit freedom must be
+	// subsumed by the fresh derivation.
 	if len(claimed.Blocks) != len(fresh.Blocks) {
 		a.violate(-1, "fact-block", "artifact has %d blocks, CFG derives %d", len(claimed.Blocks), len(fresh.Blocks))
 	} else {
 		for b := range claimed.Blocks {
 			cb, fb := &claimed.Blocks[b], &fresh.Blocks[b]
-			if cb.Start != fb.Start || cb.End != fb.End || cb.Cost != fb.Cost {
-				a.violate(cb.Start, "fact-block", "block %d bounds/cost do not reproduce", b)
+			if cb.Start != fb.Start || cb.End != fb.End {
+				a.violate(cb.Start, "fact-block", "block %d bounds do not reproduce", b)
 				continue
 			}
 			if cb.NoSideExit && !fb.NoSideExit {
 				a.violate(cb.Start, "fact-block", "block %d claimed side-exit-free but contains faulting ops", b)
-			}
-			for _, cr := range cb.Uniform {
-				ok := false
-				for _, fr := range fb.Uniform {
-					if fr.From <= cr.From && cr.To <= fr.To && fr.Page == cr.Page {
-						ok = true
-						break
-					}
-				}
-				if !ok {
-					a.violate(cr.From, "fact-block", "claimed page-uniform range [%d,%d) on page %#x not re-derivable",
-						cr.From, cr.To, cr.Page)
-				}
 			}
 		}
 	}

@@ -42,8 +42,10 @@
 # the hostcall handlers, the closed verifier rule vocabulary) that plain
 # vet cannot express. A dedicated uncached -race pass over the verifier and
 # mutation packages closes the loop on the analysis code itself; the same
-# pass covers internal/stats, internal/mem, internal/sandbox and
-# internal/tier, whose allocation gates (TestRecordZeroAllocs,
+# pass covers internal/faas, whose concurrent cold-provision test
+# (TestConcurrentColdProvisionBuildsOnce) is the race proof for the image
+# cache's per-key wait, and internal/stats, internal/mem, internal/sandbox
+# and internal/tier, whose allocation gates (TestRecordZeroAllocs,
 # TestRecorderBoundedMemory, TestDigestCostFollowsResidentPages,
 # TestHeapHashZeroAllocs, TestTierHotLoopZeroAllocs — the last also runs
 # the gate derivation every cold engine pays on its first block) measure
@@ -82,8 +84,8 @@ go run ./cmd/hfiverify -class hostcall
 echo "== hfiverify -facts: analyzer facts + independent audit over the corpus"
 go run ./cmd/hfiverify -facts >/dev/null
 echo "corpus facts audited"
-echo "== go test -race -count=1 (uncached): verifier + mutation + stats + mem + sandbox + tier"
-go test -race -short -count=1 ./internal/verifier ./internal/mutation ./internal/lint ./internal/stats ./internal/mem ./internal/sandbox ./internal/tier
+echo "== go test -race -count=1 (uncached): verifier + mutation + faas + stats + mem + sandbox + tier"
+go test -race -short -count=1 ./internal/verifier ./internal/mutation ./internal/lint ./internal/faas ./internal/stats ./internal/mem ./internal/sandbox ./internal/tier
 echo "== fuzz smoke: FuzzHistogram, 10 s"
 go test -run '^$' -fuzz=FuzzHistogram -fuzztime=10s ./internal/stats
 echo "== fuzz smoke: FuzzHeapDigest, 10 s"
