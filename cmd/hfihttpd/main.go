@@ -1,11 +1,12 @@
 // Command hfihttpd serves the multi-tenant sandbox host (internal/host)
 // over HTTP via internal/httpfront: per-tenant invoke routes, drain-aware
 // health, and JSON stats — the front door real load generators (vegeta,
-// hey, wrk) point at.
+// hey, wrk) point at. Its flags are a cluster.ShardSpec (cluster.NewShard).
 //
 // Usage:
 //
 //	hfihttpd -addr :8080                 # serve the default tenant registry
+//	hfihttpd -addr 127.0.0.1:0           # any free port; the bound address goes to stderr
 //	hfihttpd -policy shed -queue 16      # real 429s under overload
 //	hfihttpd -fuel-per-second 5e7        # client deadlines shrink fuel budgets
 //	hfihttpd -selfdrive                  # built-in open-loop HTTP sweep, then exit
@@ -17,10 +18,10 @@
 //	GET  /healthz                        # 200, or 503 once draining
 //	GET  /statsz                         # serve summary + per-tenant + counters
 //
-// On SIGINT/SIGTERM the server drains: /healthz flips to 503 (load
-// balancers stop routing), queued and in-flight requests finish with real
-// outcomes, then the listener shuts down. Requests arriving after the
-// host closes get 503 + Retry-After.
+// On SIGINT/SIGTERM the server drains (httpfront.Serve): /healthz flips
+// to 503 (load balancers stop routing), -drain-wait passes, queued and
+// in-flight requests finish with real outcomes, then the listener shuts
+// down. Requests arriving after the host closes get 503 + Retry-After.
 //
 // -selfdrive runs the load harness's open-loop sweep (internal/loadgen)
 // against this server over loopback HTTP — the same schedule source and
@@ -29,10 +30,11 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
-	"net/http"
+	"net"
 	"os"
 	"os/signal"
 	"runtime"
@@ -68,55 +70,41 @@ func main() {
 	)
 	flag.Parse()
 
-	pol, err := host.ParsePolicy(*policy, host.PolicyShed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hfihttpd:", err)
-		os.Exit(2)
-	}
-	cfg := host.Config{
-		Workers: *workers, QueueDepth: *queue, Policy: pol,
+	spec := cluster.ShardSpec{
+		Workers: *workers, QueueDepth: *queue, Policy: *policy,
 		Fuel: *fuel, FuelPerSecond: uint64(*fuelPerS),
-		DispatchWall: *dispatch,
-		Retry:        host.RetryConfig{Max: 2},
-		Seed:         *seed,
+		DispatchWallUs: dispatch.Microseconds(),
+		Seed:           *seed,
 	}
-
 	if *selfdrive {
-		os.Exit(runSelfdrive(cfg, *rates, *requests, *seed, *jsonOut))
+		os.Exit(runSelfdrive(spec, *rates, *requests, *seed, *jsonOut))
 	}
-	os.Exit(serve(cfg, *addr, *drainWait))
+	os.Exit(serve(spec, *addr, *drainWait))
 }
 
-// serve runs the front until SIGINT/SIGTERM, then drains: healthz → 503,
-// wait for load balancers to notice, close the host (queued work finishes
-// with real outcomes), shut the listener down.
-func serve(cfg host.Config, addr string, drainWait time.Duration) int {
-	front := httpfront.New(host.New(cfg), httpfront.DefaultRegistry(1))
-	hs := &http.Server{Addr: addr, Handler: front.Handler()}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "hfihttpd: serving on %s (%d workers, policy %s)\n",
-		addr, front.Host().Workers(), cfg.Policy)
-
-	select {
-	case err := <-errc:
+// serve runs the shard on addr until SIGINT/SIGTERM, then drains
+// (httpfront.Serve), finishing by closing the host.
+func serve(spec cluster.ShardSpec, addr string, drainWait time.Duration) int {
+	front, err := cluster.NewShard(spec)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hfihttpd:", err)
+		return 2
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "hfihttpd:", err)
 		return 1
-	case <-ctx.Done():
 	}
-
-	fmt.Fprintln(os.Stderr, "hfihttpd: draining (healthz → 503)")
-	front.BeginDrain()
-	time.Sleep(drainWait)
-	front.Host().Close()
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := hs.Shutdown(shutCtx); err != nil {
-		fmt.Fprintln(os.Stderr, "hfihttpd: shutdown:", err)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	fmt.Fprintf(os.Stderr, "hfihttpd: serving on %s (%d workers, policy %s)\n",
+		ln.Addr(), front.Host().Workers(), cmp.Or(spec.Policy, "shed"))
+	begin := func() {
+		fmt.Fprintln(os.Stderr, "hfihttpd: draining (healthz → 503)")
+		front.BeginDrain()
+	}
+	if err := httpfront.Serve(ctx, ln, front.Handler(), drainWait, begin, front.Host().Close); err != nil {
+		fmt.Fprintln(os.Stderr, "hfihttpd:", err)
 		return 1
 	}
 	fmt.Fprintln(os.Stderr, "hfihttpd: drained")
@@ -124,26 +112,25 @@ func serve(cfg host.Config, addr string, drainWait time.Duration) int {
 }
 
 // runSelfdrive sweeps offered rates over real HTTP: an equal-weight mix of
-// the registry's tenants against one fresh server, front and loopback
-// listener per rate.
-func runSelfdrive(cfg host.Config, rateList string, perRate int, seed int64, jsonOut bool) int {
+// the registry's tenants against one fresh shard and loopback listener per
+// rate.
+func runSelfdrive(spec cluster.ShardSpec, rateList string, perRate int, seed int64, jsonOut bool) int {
 	rates, err := loadgen.ParseRates(rateList)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hfihttpd:", err)
 		return 2
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0) // host.New's default, resolved here so the label states it
+	if spec.Workers <= 0 {
+		spec.Workers = runtime.GOMAXPROCS(0) // host.New's default, resolved here so the label states it
 	}
-	reg := httpfront.DefaultRegistry(1)
-	reqs := host.BuildSchedule(httpfront.RegistryMix(reg), perRate, seed)
+	reqs := host.BuildSchedule(httpfront.RegistryMix(httpfront.DefaultRegistry(1)), perRate, seed)
 	pts, err := loadgen.Sweep(context.Background(), func() (loadgen.Target, error) {
-		return loadgen.Shard(cfg, reg)
+		return loadgen.Shard(spec)
 	}, reqs, rates, seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hfihttpd:", err)
 		return 1
 	}
-	leg := loadgen.Report{Target: "shard", Label: fmt.Sprintf("shard/%dw", cfg.Workers), Seed: seed, Points: pts}
+	leg := loadgen.Report{Target: "shard", Label: fmt.Sprintf("shard/%dw", spec.Workers), Seed: seed, Points: pts}
 	return loadgen.Finish(os.Stdout, "hfihttpd", []loadgen.Report{leg}, jsonOut, "", 0)
 }

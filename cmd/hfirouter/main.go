@@ -24,13 +24,18 @@
 // With no -shard-bin the router re-execs its own executable as the shard
 // processes (the HFI_SHARD_CONFIG environment hook), so `hfirouter
 // -shards 4` is fully self-contained.
+//
+// On SIGINT/SIGTERM it drains (httpfront.Serve): /healthz → 503,
+// -drain-wait, each shard drained in turn (tenants migrated first), then
+// the listener and the fleet stop. Shards ignore SIGINT, so Ctrl-C finds
+// them all still serving.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"net/http"
+	"net"
 	"os"
 	"os/signal"
 	"syscall"
@@ -75,7 +80,7 @@ func main() {
 			Workers: *workers, QueueDepth: *queue, Policy: *policy,
 			DispatchWallUs: dispatch.Microseconds(),
 			BreakerWindow:  *window,
-			Seed:           *seed, WorldSeed: 1,
+			Seed:           *seed,
 		},
 	}
 
@@ -85,43 +90,40 @@ func main() {
 	os.Exit(serve(opts, *addr, *drainWait))
 }
 
+// serve runs the router on addr until SIGINT/SIGTERM, then drains
+// (httpfront.Serve), finishing with each shard's drain in turn.
 func serve(opts cluster.LaunchOpts, addr string, drainWait time.Duration) int {
 	cl, err := cluster.Launch(opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hfirouter:", err)
 		return 1
 	}
-	hs := &http.Server{Addr: addr, Handler: cl.Router.Handler()}
-
+	defer cl.Close()
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hfirouter:", err)
+		return 1
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "hfirouter: serving on %s over %d shards\n", addr, opts.N)
-
-	select {
-	case err := <-errc:
-		fmt.Fprintln(os.Stderr, "hfirouter:", err)
-		cl.Close()
-		return 1
-	case <-ctx.Done():
+	fmt.Fprintf(os.Stderr, "hfirouter: serving on %s over %d shards\n", ln.Addr(), len(cl.Procs))
+	begin := func() {
+		fmt.Fprintln(os.Stderr, "hfirouter: draining (healthz → 503)")
+		cl.Router.BeginDrain()
 	}
-
-	fmt.Fprintln(os.Stderr, "hfirouter: draining (healthz → 503)")
-	cl.Router.BeginDrain()
-	time.Sleep(drainWait)
-	for _, p := range cl.Procs {
-		dctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-		if err := cl.Router.Drain(dctx, p.Spec.Name); err != nil {
-			fmt.Fprintf(os.Stderr, "hfirouter: drain %s: %v\n", p.Spec.Name, err)
+	finish := func() {
+		for _, p := range cl.Procs {
+			dctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+			if err := cl.Router.Drain(dctx, p.Spec.Name); err != nil {
+				fmt.Fprintf(os.Stderr, "hfirouter: drain %s: %v\n", p.Spec.Name, err)
+			}
+			cancel()
 		}
-		cancel()
 	}
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	hs.Shutdown(shutCtx)
-	cl.Close()
+	if err := httpfront.Serve(ctx, ln, cl.Router.Handler(), drainWait, begin, finish); err != nil {
+		fmt.Fprintln(os.Stderr, "hfirouter:", err)
+		return 1
+	}
 	fmt.Fprintln(os.Stderr, "hfirouter: drained")
 	return 0
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -516,5 +517,48 @@ func TestClusterChaosSoak(t *testing.T) {
 	snap := inj.Snapshot()
 	if snap.ShardKill == 0 || snap.Partition == 0 {
 		t.Fatalf("chaos summary %+v, want both cluster classes fired", snap)
+	}
+}
+
+// TestShardIgnoresSIGINT: a terminal's Ctrl-C reaches every process in the
+// foreground group, shards included, but a shard's lifetime belongs to its
+// parent (stdin). A SIGINT must neither kill a held request nor the shard:
+// the request finishes 200, /healthz still answers 200, and Stop reaps a
+// clean exit.
+func TestShardIgnoresSIGINT(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Spawn(exe, ShardSpec{Name: "sigint", Workers: 1, DispatchWallUs: 300_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Kill) // a no-op once Stop has reaped it
+	c := httpfront.NewClient("http://" + p.Addr)
+	defer c.CloseIdle()
+	ctx := context.Background()
+
+	held := make(chan error, 1)
+	go func() {
+		res, err := c.Invoke(ctx, "hostcall-micro", nil, "")
+		if err == nil && res.Code != http.StatusOK {
+			err = fmt.Errorf("held request: HTTP %d", res.Code)
+		}
+		held <- err
+	}()
+	time.Sleep(100 * time.Millisecond) // inside the 300 ms dispatch wall
+	if err := p.cmd.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-held; err != nil {
+		t.Fatalf("held request across SIGINT: %v", err)
+	}
+	if up, err := c.Healthz(ctx); err != nil || !up {
+		t.Fatalf("healthz after SIGINT: up=%v err=%v, want 200", up, err)
+	}
+	p.Stop()
+	if code := p.cmd.ProcessState.ExitCode(); code != 0 {
+		t.Fatalf("shard exit after Stop: %s, want status 0", p.cmd.ProcessState)
 	}
 }

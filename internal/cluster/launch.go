@@ -46,9 +46,6 @@ func Launch(o LaunchOpts) (*Cluster, error) {
 		spec := o.Shard
 		spec.Name = fmt.Sprintf("shard-%d", i)
 		spec.Seed += int64(i)
-		if spec.WorldSeed == 0 {
-			spec.WorldSeed = 1
-		}
 		p, err := Spawn(bin, spec)
 		if err != nil {
 			for _, q := range procs {

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -229,12 +228,12 @@ func (rt *Router) invoke(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, rt.cfg.MaxBody+1))
 	if err != nil {
-		writeEnvelope(w, http.StatusBadRequest, httpfront.ErrorEnvelope{
+		httpfront.WriteEnvelope(w, http.StatusBadRequest, httpfront.ErrorEnvelope{
 			Outcome: "bad_request", RequestID: reqID, Error: err.Error()})
 		return
 	}
 	if int64(len(body)) > rt.cfg.MaxBody {
-		writeEnvelope(w, http.StatusRequestEntityTooLarge, httpfront.ErrorEnvelope{
+		httpfront.WriteEnvelope(w, http.StatusRequestEntityTooLarge, httpfront.ErrorEnvelope{
 			Outcome: "body_too_large", RequestID: reqID,
 			Error: fmt.Sprintf("body exceeds %d bytes", rt.cfg.MaxBody)})
 		return
@@ -242,7 +241,7 @@ func (rt *Router) invoke(w http.ResponseWriter, r *http.Request) {
 	res, ok := rt.do(r.Context(), tenant, body, reqID)
 	if !ok {
 		rt.unroutable.Add(1)
-		writeEnvelope(w, http.StatusServiceUnavailable, httpfront.ErrorEnvelope{
+		httpfront.WriteEnvelope(w, http.StatusServiceUnavailable, httpfront.ErrorEnvelope{
 			Outcome: "unroutable", RequestID: reqID,
 			Error: "no healthy shard available for tenant"})
 		return
@@ -664,41 +663,26 @@ func (rt *Router) StatszDoc() httpfront.StatszV1 {
 
 func (rt *Router) healthz(w http.ResponseWriter, r *http.Request) {
 	if rt.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		httpfront.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	httpfront.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (rt *Router) statsz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, rt.StatszDoc())
+	httpfront.WriteJSON(w, http.StatusOK, rt.StatszDoc())
 }
 
 func (rt *Router) drainz(w http.ResponseWriter, r *http.Request) {
 	rt.BeginDrain()
-	writeJSON(w, http.StatusOK, map[string]string{"status": "draining"})
+	httpfront.WriteJSON(w, http.StatusOK, map[string]string{"status": "draining"})
 }
 
 func (rt *Router) adminDrain(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("shard")
 	if err := rt.Drain(r.Context(), name); err != nil {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": err.Error()})
+		httpfront.WriteJSON(w, http.StatusNotFound, map[string]string{"error": err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "drained", "shard": name})
-}
-
-func writeEnvelope(w http.ResponseWriter, code int, eb httpfront.ErrorEnvelope) {
-	eb.RetryAfterMS = httpfront.RetryAfterMS(code)
-	if eb.RetryAfterMS > 0 {
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", eb.RetryAfterMS/1000))
-	}
-	w.Header().Set(httpfront.RequestIDHeader, eb.RequestID)
-	writeJSON(w, code, eb)
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
+	httpfront.WriteJSON(w, http.StatusOK, map[string]string{"status": "drained", "shard": name})
 }

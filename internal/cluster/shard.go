@@ -1,14 +1,15 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"os/exec"
+	"os/signal"
 	"path/filepath"
 	"time"
 
@@ -64,6 +65,19 @@ func (sp ShardSpec) hostConfig() (host.Config, error) {
 	}, nil
 }
 
+// NewShard builds every shard (subprocess, hfihttpd, loadgen.Shard): a
+// fresh host under spec behind a front named spec.Name routing the default
+// tenant registry (WorldSeed 0 ⇒ 1).
+func NewShard(spec ShardSpec) (*httpfront.Front, error) {
+	cfg, err := spec.hostConfig()
+	if err != nil {
+		return nil, err
+	}
+	front := httpfront.New(host.New(cfg), httpfront.DefaultRegistry(cmp.Or(spec.WorldSeed, 1)))
+	front.Shard = spec.Name
+	return front, nil
+}
+
 // IsShardProc reports whether this process was spawned as a shard.
 func IsShardProc() bool { return os.Getenv(ShardEnv) != "" }
 
@@ -72,8 +86,11 @@ func IsShardProc() bool { return os.Getenv(ShardEnv) != "" }
 // AddrFile, serves the default tenant registry, and drains when its
 // parent goes away (stdin EOF — the pipe the parent holds open for the
 // shard's lifetime), finishing queued and in-flight work with real
-// outcomes before exiting.
+// outcomes before exiting. Stdin alone owns that lifetime: SIGINT (a
+// terminal's Ctrl-C reaches the whole process group) is ignored, leaving
+// the shard to its parent's drain, which migrates its tenants first.
 func ShardMain() int {
+	signal.Ignore(os.Interrupt)
 	var spec ShardSpec
 	if err := json.Unmarshal([]byte(os.Getenv(ShardEnv)), &spec); err != nil {
 		fmt.Fprintf(os.Stderr, "shard: bad %s: %v\n", ShardEnv, err)
@@ -81,46 +98,28 @@ func ShardMain() int {
 	}
 	// A spec this shard cannot honour fails the spawn handshake (no
 	// address is ever published) instead of serving with other settings.
-	cfg, err := spec.hostConfig()
+	front, err := NewShard(spec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "shard:", err)
 		return 2
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "shard:", err)
-		return 1
+	if err == nil {
+		err = publishAddr(spec.AddrFile, ln.Addr().String())
 	}
-	front := httpfront.New(host.New(cfg), httpfront.DefaultRegistry(spec.WorldSeed))
-	front.Shard = spec.Name
-	hs := &http.Server{Handler: front.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-
-	if err := publishAddr(spec.AddrFile, ln.Addr().String()); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "shard:", err)
 		return 1
 	}
 
 	// Parent-death watch: the spawner keeps our stdin pipe open; EOF
 	// means it exited (cleanly or not) and nobody routes to us anymore.
-	gone := make(chan struct{})
-	go func() {
-		io.Copy(io.Discard, os.Stdin)
-		close(gone)
-	}()
-
-	select {
-	case err := <-errc:
+	ctx, gone := context.WithCancel(context.Background())
+	go func() { io.Copy(io.Discard, os.Stdin); gone() }()
+	if err := httpfront.Serve(ctx, ln, front.Handler(), 0, front.BeginDrain, front.Host().Close); err != nil {
 		fmt.Fprintln(os.Stderr, "shard:", err)
 		return 1
-	case <-gone:
 	}
-	front.BeginDrain()
-	front.Host().Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	hs.Shutdown(ctx)
 	return 0
 }
 

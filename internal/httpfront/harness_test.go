@@ -7,6 +7,7 @@ import (
 	"context"
 	"testing"
 
+	"hfi/internal/cluster"
 	"hfi/internal/host"
 	"hfi/internal/httpfront"
 	"hfi/internal/loadgen"
@@ -21,7 +22,7 @@ func TestOpenLoopHTTPGenerator(t *testing.T) {
 	if len(mix) != len(reg)-1 {
 		t.Fatalf("registry mix has %d classes, want all %d tenants but \"faulty\"", len(mix), len(reg))
 	}
-	tgt, err := loadgen.Shard(host.Config{Workers: 2, QueueDepth: 4, Policy: host.PolicyShed}, reg)
+	tgt, err := loadgen.Shard(cluster.ShardSpec{Workers: 2, QueueDepth: 4, Policy: "shed"})
 	if err != nil {
 		t.Fatal(err)
 	}

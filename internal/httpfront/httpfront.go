@@ -20,10 +20,12 @@
 package httpfront
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -73,13 +75,31 @@ func New(srv *host.Server, reg map[string]Tenant) *Front {
 // Host returns the underlying server (the drain path closes it directly).
 func (f *Front) Host() *host.Server { return f.host }
 
-// BeginDrain flips /healthz to 503 so load balancers stop routing here.
-// In-flight and queued work is unaffected; the caller follows with
-// host.Server.Close (drains the queues) and http.Server.Shutdown.
+// BeginDrain flips /healthz to 503 so load balancers stop routing here
+// (Serve's begin step); in-flight and queued work is unaffected.
 func (f *Front) BeginDrain() { f.draining.Store(true) }
 
-// Draining reports whether BeginDrain was called.
-func (f *Front) Draining() bool { return f.draining.Load() }
+// Serve is the one serve-and-drain sequence of every HTTP tier. It serves
+// h on ln until ctx ends or serving fails. Then it drains: begin (flip
+// /healthz to 503), wait for load balancers to notice, finish (queued and
+// in-flight work ends with real outcomes), and shut the listener down
+// within 10 s. It returns the serve error, or else the shutdown error.
+func Serve(ctx context.Context, ln net.Listener, h http.Handler, wait time.Duration, begin, finish func()) error {
+	hs := &http.Server{Handler: h}
+	errc := make(chan error, 1)
+	go func() { errc <- hs.Serve(ln) }()
+	select {
+	case err := <-errc:
+		return err
+	case <-ctx.Done():
+	}
+	begin()
+	time.Sleep(wait)
+	finish()
+	sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	return hs.Shutdown(sctx)
+}
 
 // Handler returns the route mux.
 func (f *Front) Handler() http.Handler {
@@ -204,14 +224,19 @@ func (f *Front) writeResponse(w http.ResponseWriter, resp host.Response, reqID s
 	f.writeEnvelope(w, code, eb)
 }
 
-// writeEnvelope serializes one ErrorEnvelope, stamping the documented
-// retry hint both as the legacy Retry-After header (seconds, for generic
-// clients) and as retry_after_ms in the body (for typed ones), and echoing
-// the request id as a header so hedging dedup works without parsing JSON.
+// writeEnvelope stamps this front's shard name on eb and writes it.
 func (f *Front) writeEnvelope(w http.ResponseWriter, code int, eb ErrorEnvelope) {
 	if eb.Shard == "" {
 		eb.Shard = f.Shard
 	}
+	WriteEnvelope(w, code, eb)
+}
+
+// WriteEnvelope serializes one ErrorEnvelope, stamping the documented
+// retry hint both as the legacy Retry-After header (seconds, for generic
+// clients) and as retry_after_ms in the body (for typed ones), and echoing
+// the request id as a header so hedging dedup works without parsing JSON.
+func WriteEnvelope(w http.ResponseWriter, code int, eb ErrorEnvelope) {
 	eb.RetryAfterMS = RetryAfterMS(code)
 	if eb.RetryAfterMS > 0 {
 		// Backpressure is transient by construction — a breaker half-opens,
@@ -219,15 +244,15 @@ func (f *Front) writeEnvelope(w http.ResponseWriter, code int, eb ErrorEnvelope)
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", eb.RetryAfterMS/1000))
 	}
 	w.Header().Set(RequestIDHeader, eb.RequestID)
-	writeJSON(w, code, eb)
+	WriteJSON(w, code, eb)
 }
 
 func (f *Front) healthz(w http.ResponseWriter, r *http.Request) {
 	if f.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // StatszDoc builds the shard-role StatszV1 this front serves on /statsz.
@@ -252,7 +277,7 @@ func (f *Front) StatszDoc() StatszV1 {
 }
 
 func (f *Front) statsz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, f.StatszDoc())
+	WriteJSON(w, http.StatusOK, f.StatszDoc())
 }
 
 // drainz is the remote drain trigger: the router POSTs here when taking a
@@ -261,10 +286,11 @@ func (f *Front) statsz(w http.ResponseWriter, r *http.Request) {
 // real outcomes (zero dropped requests is the drain contract).
 func (f *Front) drainz(w http.ResponseWriter, r *http.Request) {
 	f.BeginDrain()
-	writeJSON(w, http.StatusOK, map[string]string{"status": "draining"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "draining"})
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as the JSON body of a code response.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v)

@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -265,6 +267,62 @@ func TestDrainSemantics(t *testing.T) {
 	}
 	if res.Envelope == nil || res.Envelope.Outcome != "closed" {
 		t.Fatalf("envelope %+v, want outcome closed", res.Envelope)
+	}
+}
+
+// TestServeDrainSequence drives Serve's drain end to end: with a request
+// held in dispatch, cancelling ctx flips /healthz to 503 within the drain
+// wait while the held request still completes 200; Serve returns nil and
+// the listener then refuses new connections.
+func TestServeDrainSequence(t *testing.T) {
+	const wait = 500 * time.Millisecond
+	f := New(host.New(host.Config{Workers: 1, DispatchWall: 300 * time.Millisecond}), DefaultRegistry(1))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	served := make(chan error, 1)
+	go func() { served <- Serve(ctx, ln, f.Handler(), wait, f.BeginDrain, f.Host().Close) }()
+	c := NewClient("http://" + ln.Addr().String())
+	defer c.CloseIdle()
+
+	held := make(chan error, 1)
+	go func() {
+		res, err := c.Invoke(context.Background(), "hostcall-micro", nil, "")
+		if err == nil && res.Code != http.StatusOK {
+			err = fmt.Errorf("HTTP %d, want 200", res.Code)
+		}
+		held <- err
+	}()
+	for f.Host().Admitted() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	deadline := time.Now().Add(wait)
+	for {
+		up, err := c.Healthz(context.Background())
+		if err != nil {
+			t.Fatalf("healthz during drain: %v", err)
+		}
+		if !up {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("healthz still 200 after the drain wait")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := <-held; err != nil {
+		t.Fatalf("held request across drain: %v", err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	if conn, err := net.Dial("tcp", ln.Addr().String()); err == nil {
+		conn.Close()
+		t.Fatal("listener still accepts after Serve returned")
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 
 	"hfi/internal/cluster"
 	"hfi/internal/host"
-	"hfi/internal/httpfront"
 )
 
 // TestMain hooks the shard role: Fleet launches shards by re-exec'ing this
@@ -47,7 +46,7 @@ func TestOneScheduleThreeTargets(t *testing.T) {
 		new  func() (Target, error)
 	}{
 		{"inproc", func() (Target, error) { return InProcess(host.New(cfg)), nil }},
-		{"shard", func() (Target, error) { return Shard(cfg, httpfront.DefaultRegistry(1)) }},
+		{"shard", func() (Target, error) { return Shard(cluster.ShardSpec{Workers: 2, QueueDepth: 16, Policy: "block"}) }},
 		{"cluster", func() (Target, error) {
 			return Fleet(cluster.LaunchOpts{N: 2, Shard: cluster.ShardSpec{Workers: 2, QueueDepth: 16, Policy: "block"}})
 		}},

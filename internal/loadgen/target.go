@@ -76,13 +76,16 @@ func (t *overHTTP) Close() error {
 	return cmp.Or(err, t.hs.Close())
 }
 
-// Shard serves a fresh host under cfg behind an httpfront.Front routing
-// reg, and drives it over loopback HTTP.
-func Shard(cfg host.Config, reg map[string]httpfront.Tenant) (Target, error) {
-	srv := host.New(cfg)
-	t, err := serveLoopback(httpfront.New(srv, reg).Handler(), func() error { srv.Close(); return nil })
+// Shard serves exactly what a shard process serves under spec
+// (cluster.NewShard) and drives it over loopback HTTP.
+func Shard(spec cluster.ShardSpec) (Target, error) {
+	front, err := cluster.NewShard(spec)
 	if err != nil {
-		srv.Close()
+		return nil, err
+	}
+	t, err := serveLoopback(front.Handler(), func() error { front.Host().Close(); return nil })
+	if err != nil {
+		front.Host().Close()
 		return nil, err
 	}
 	return t, nil

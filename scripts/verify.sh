@@ -29,6 +29,12 @@
 # just this; the race pass above already covers the cluster chaos soak
 # (shard SIGKILL + router↔shard partitions) via ./internal/cluster.
 #
+# Then the real binaries: hfihttpd is built into a temp dir and driven
+# twice — its own -selfdrive sweep, and as the -shard-bin of an hfirouter
+# -selfdrive sweep (the separate-binary path hfirouter's usage documents,
+# where every shard runs cluster.ShardMain inside hfihttpd). Both must
+# settle the loadgen ledger.
+#
 # After the tests, the static-verifier gate: hfiverify proves every corpus
 # program safe under every scheme (the corpus includes the hostcall guests,
 # whose gate and marshalling proofs get an explicit labeled sweep of their
@@ -77,6 +83,13 @@ echo "== chaos soaks: serving + substrate (seeded, race-detected)"
 go test -race -short -count=1 -run 'TestChaosSoak' ./internal/host
 echo "== loadtest: open-loop sweeps vs scripts/loadtest_baseline.json (fast)"
 sh scripts/loadtest.sh >/dev/null
+echo "== binaries: hfihttpd -selfdrive, hfirouter -selfdrive -shard-bin hfihttpd"
+bin=$(mktemp -d)
+trap 'rm -rf "$bin"' EXIT
+go build -o "$bin/hfihttpd" ./cmd/hfihttpd
+go build -o "$bin/hfirouter" ./cmd/hfirouter
+"$bin/hfihttpd" -selfdrive -workers 2 -rates 300 -requests 60 >/dev/null
+"$bin/hfirouter" -selfdrive -shards 2 -shard-bin "$bin/hfihttpd" -rates 300 -requests 60 >/dev/null
 echo "== hfiverify: corpus under all schemes"
 go run ./cmd/hfiverify
 echo "== hfiverify -class hostcall: gate + marshalling proofs on the boundary guests"
