@@ -775,7 +775,10 @@ func (c *Core) execute(idx int, e *robEntry, v0, v1, v2 uint64) {
 		c.snapshotHFI(e)
 		buf := make([]byte, hfi.XsaveSize)
 		m.Mem().ReadBytes(v0, buf)
-		m.HFI.Xrstor(buf)
+		if f := m.HFI.Xrstor(buf); f != nil {
+			c.specFault(e, fcPriv, e.pc, false)
+			return
+		}
 		c.finish(e, hfi.SerializeCycles, 0)
 		c.redirectFetch(e.pc+isa.InstrBytes, c.cycle+hfi.SerializeCycles)
 

@@ -36,7 +36,7 @@ func benchInterp(b *testing.B, noFast bool) {
 }
 
 // BenchmarkInterpMemKernel measures the interpreter with its fast paths on
-// (the default): direct-indexed code cache, 1-entry data-translation and
+// (the default): direct-indexed code cache, data-translation and
 // exec-permission caches, and the memory hierarchy's MRU short-circuits.
 func BenchmarkInterpMemKernel(b *testing.B) { benchInterp(b, false) }
 

@@ -125,6 +125,47 @@ func TestDTCFlushOnHFIEnter(t *testing.T) {
 	}
 }
 
+// TestDTCSlotsIndependent fills every data-translation slot with a
+// granting decision for its own page, then plants a live stale entry into
+// each slot in turn: the audit must catch it, the planted slot must stop
+// granting (no engine may consume the forged entry), and the other slots
+// keep hitting — one page's plant or refill never evicts another page's
+// decision.
+func TestDTCSlotsIndependent(t *testing.T) {
+	const buf = 0x100000
+	for slot := uint64(0); slot < DTCSlots; slot++ {
+		m := NewMachine()
+		if err := m.AS.MapFixed(buf, DTCSlots*kernel.OSPageSize, kernel.ProtRead|kernel.ProtWrite); err != nil {
+			t.Fatal(err)
+		}
+		page := func(i uint64) uint64 { return buf + i*kernel.OSPageSize }
+		for i := uint64(0); i < DTCSlots; i++ {
+			m.dtcFill(page(i))
+		}
+		for i := uint64(0); i < DTCSlots; i++ {
+			if !m.DTCHit(page(i)+8, 8, true) {
+				t.Fatalf("page %d missed after filling every slot", i)
+			}
+		}
+		if !m.AuditCacheGens() {
+			t.Fatal("the audit flagged freshly filled slots")
+		}
+		m.PlantStaleDTC(true, slot)
+		if m.AuditCacheGens() {
+			t.Fatalf("the audit missed a live stale entry in slot %d", slot)
+		}
+		for i := uint64(0); i < DTCSlots; i++ {
+			if hit := m.DTCHit(page(i), 8, false); hit != (i != slot) {
+				t.Fatalf("plant in slot %d: page %d hit=%v", slot, i, hit)
+			}
+		}
+		m.FlushDTC()
+		if !m.AuditCacheGens() {
+			t.Fatal("the audit still fails after FlushDTC")
+		}
+	}
+}
+
 // TestInterpCostTableTracksModel edits the cost model between runs: the
 // precomputed dispatch table must rebuild and charge the new costs.
 func TestInterpCostTableTracksModel(t *testing.T) {

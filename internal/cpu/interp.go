@@ -63,7 +63,7 @@ type Interp struct {
 	Cost CostModel
 
 	// NoFastPath disables the dispatch fast paths — the machine's fetch
-	// code cache and the 1-entry data-translation cache — forcing every
+	// code cache and the data-translation cache — forcing every
 	// fetch through the binary search and every access through the full
 	// HFI + MMU checks. Architectural results are identical either way
 	// (the differential tests assert this); the flag exists so they can.
@@ -316,8 +316,8 @@ func (ip *Interp) Run(maxInstrs uint64) RunResult {
 		case isa.OpLoad, isa.OpStore:
 			addr := m.plainEA(in)
 			write := in.Op == isa.OpStore
-			if !ip.NoFastPath && m.dtcHit(addr, in.Size, write) {
-				// Fast path: the 1-entry DTC proves this access passes
+			if !ip.NoFastPath && m.DTCHit(addr, in.Size, write) {
+				// Fast path: the page-decision cache proves this access passes
 				// both the HFI and MMU checks. Keep the observable
 				// check counter identical to the slow path.
 				if m.HFI.Enabled {
@@ -544,7 +544,12 @@ func (ip *Interp) Run(maxInstrs uint64) RunResult {
 			}
 			buf := make([]byte, hfi.XsaveSize)
 			m.Mem().ReadBytes(m.Regs[in.Rs1], buf)
-			m.HFI.Xrstor(buf)
+			if f := m.HFI.Xrstor(buf); f != nil {
+				if r, ok := ip.fault(pc, 0, f, false); !ok {
+					return r
+				}
+				continue
+			}
 			ip.charge(ip.Cost.Serialize)
 
 		default:

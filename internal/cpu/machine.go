@@ -125,13 +125,18 @@ type Machine struct {
 	ccInstrs []isa.Instr
 	lastProg int // index of the program fetchAt last hit
 
-	// dtc is a 1-entry data-translation cache summarizing the combined
-	// HFI + MMU decision for one OS page. It is consulted only by the
-	// interpreter's load/store fast path; validity is gen-tagged against
-	// both sources of truth, so any HFI state write (enter/exit/region
+	// dtc is a small direct-mapped data-translation cache, indexed by OS page
+	// number, each entry summarizing the combined HFI + MMU decision for one
+	// page. Both engines consult it: the interpreter's load/store fast path
+	// and the tiered engine's checked loads and stores (a miss there bails
+	// to the interpreter, whose slow path faults or fills the slot). More
+	// than one slot keeps code that alternates between an input and an
+	// output page from thrashing. Validity is gen-tagged against both
+	// sources of truth, so any HFI state write (enter/exit/region
 	// update/fault/xrstor) or mapping change (mmap/mprotect/munmap)
-	// invalidates it without the mutating code knowing the cache exists.
-	dtc dtcEntry
+	// invalidates every slot without the mutating code knowing the cache
+	// exists.
+	dtc [DTCSlots]dtcEntry
 
 	// epc is the exec-side counterpart: the HFI code-region decision for
 	// the last fetched page, consulted by the interpreter only while HFI
@@ -145,6 +150,9 @@ type Machine struct {
 	// benchmarks read it).
 	FactElisions uint64
 }
+
+// DTCSlots is the number of data-translation cache slots (a power of two).
+const DTCSlots = 4
 
 // dtcEntry caches the access decision for every access wholly inside one OS
 // page. It is only filled when that decision is page-uniform: the same HFI
@@ -259,12 +267,12 @@ func (m *Machine) invalidateFetchCache() {
 	m.lastProg = 0
 }
 
-// FlushDTC invalidates the interpreter's decision caches (the data
-// translation cache and the exec-permission cache). Generation tags already
-// catch HFI and mapping changes; this exists for state changes outside
-// those, i.e. swapping the whole machine between guests (Reset).
+// FlushDTC invalidates the decision caches (every data-translation slot
+// and the exec-permission cache). Generation tags already catch HFI and
+// mapping changes; this exists for state changes outside those, i.e.
+// swapping the whole machine between guests (Reset).
 func (m *Machine) FlushDTC() {
-	m.dtc = dtcEntry{}
+	m.dtc = [DTCSlots]dtcEntry{}
 	m.epc = epcEntry{}
 }
 
@@ -295,12 +303,20 @@ func (m *Machine) epcFill(pc uint64) {
 	m.epc = epcEntry{page: page, exec: ok, valid: true, hfiGen: m.HFI.Gen}
 }
 
-// dtcHit reports whether the cached page decision covers and permits this
+// dtcSlot returns the slot addr's OS page maps to.
+func (m *Machine) dtcSlot(addr uint64) *dtcEntry {
+	return &m.dtc[(addr>>kernel.OSPageBits)&(DTCSlots-1)]
+}
+
+// DTCHit reports whether the cached page decision covers and permits this
 // access: generations current, same page, no page straddle, and the cached
 // permission allows it. Denied or uncovered accesses return false and take
 // the full CheckData/checkMMU path, which raises the architectural fault.
-func (m *Machine) dtcHit(addr uint64, size uint8, write bool) bool {
-	d := &m.dtc
+// It is the one lookup both engines make: the interpreter's load/store fast
+// path and the tiered engine's checked loads and stores, which bail to the
+// interpreter on a miss. Small enough to inline into both.
+func (m *Machine) DTCHit(addr uint64, size uint8, write bool) bool {
+	d := m.dtcSlot(addr)
 	if !d.valid || d.hfiGen != m.HFI.Gen || d.mapGen != m.AS.Gen() {
 		d.valid = false
 		return false
@@ -322,13 +338,14 @@ func (m *Machine) dtcHit(addr uint64, size uint8, write bool) bool {
 // and the VMA protection covers it (always true: VMAs are OS-page aligned).
 func (m *Machine) dtcFill(addr uint64) {
 	page := addr &^ uint64(kernel.OSPageSize-1)
+	d := m.dtcSlot(addr)
 	r, w, uniform := m.HFI.DataPageDecision(page, kernel.OSPageSize)
 	if !uniform {
-		m.dtc.valid = false
+		d.valid = false
 		return
 	}
 	prot, mapped := m.AS.Prot(page)
-	m.dtc = dtcEntry{
+	*d = dtcEntry{
 		page:    page,
 		readOK:  r && mapped && prot&kernel.ProtRead != 0,
 		writeOK: w && mapped && prot&kernel.ProtWrite != 0,

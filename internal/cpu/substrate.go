@@ -40,36 +40,40 @@ func (e *SubstrateError) Unwrap() error { return ErrSubstrate }
 const staleGenSkew = 1 << 32
 
 // PlantStaleDTC is the chaos seam for FaultTLBStale: it forges the
-// data-translation cache's generation tags ahead of both sources of truth,
-// modeling a suppressed invalidation — an entry claiming to have survived
-// generations its sources never issued. A live plant keeps the entry
-// valid, which AuditCacheGens must catch; a dead plant leaves the entry
-// invalid (the shootdown was lost on an entry that was already dead), so
-// no audit can see it and no consumer can be hurt by it. Either way the
-// planted entry denies all access and matches no live generation, so
-// execution is unaffected even if the audit were skipped — the plant
-// models the *state* a lost shootdown leaves, detectably, without
-// re-introducing the vulnerability it models.
-func (m *Machine) PlantStaleDTC(live bool) {
-	m.dtc = dtcEntry{
-		page:   m.dtc.page,
+// generation tags of data-translation slot pick (modulo DTCSlots) ahead of
+// both sources of truth, modeling a suppressed invalidation — an entry
+// claiming to have survived generations its sources never issued. A live
+// plant keeps the entry valid, which AuditCacheGens must catch; a dead
+// plant leaves the entry invalid (the shootdown was lost on an entry that
+// was already dead), so no audit can see it and no consumer can be hurt by
+// it. Either way the planted entry denies all access and matches no live
+// generation, so neither engine's lookup consumes it even if the audit
+// were skipped — the plant models the *state* a lost shootdown leaves,
+// detectably, without re-introducing the vulnerability it models.
+func (m *Machine) PlantStaleDTC(live bool, pick uint64) {
+	d := &m.dtc[pick%DTCSlots]
+	*d = dtcEntry{
+		page:   d.page,
 		valid:  live,
 		hfiGen: m.HFI.Gen + staleGenSkew,
 		mapGen: m.AS.Gen() + staleGenSkew,
 	}
 }
 
-// AuditCacheGens is the generation cross-audit over the interpreter's
-// decision caches: every valid entry's tags must be auditable against
-// their sources (tag ≤ current generation — tags are copies of the
-// generation taken at fill time, so a tag from the future is impossible in
-// a correct system). Returns false when the caches hold corrupt state; the
-// caller recovers with FlushDTC and surfaces a typed *SubstrateError. The
-// audit is a handful of integer compares, so the host runs it at every
-// segment boundary rather than sampling.
+// AuditCacheGens is the generation cross-audit over the machine's decision
+// caches: every valid entry's tags must be auditable against their sources
+// (tag ≤ current generation — tags are copies of the generation taken at
+// fill time, so a tag from the future is impossible in a correct system).
+// Returns false when the caches hold corrupt state; the caller recovers
+// with FlushDTC and surfaces a typed *SubstrateError. The audit is a
+// handful of integer compares, so the host runs it at every segment
+// boundary rather than sampling.
 func (m *Machine) AuditCacheGens() bool {
-	if m.dtc.valid && (!m.HFI.AuditTag(m.dtc.hfiGen) || !m.AS.AuditTag(m.dtc.mapGen)) {
-		return false
+	for i := range m.dtc {
+		d := &m.dtc[i]
+		if d.valid && (!m.HFI.AuditTag(d.hfiGen) || !m.AS.AuditTag(d.mapGen)) {
+			return false
+		}
 	}
 	if m.epc.valid && !m.HFI.AuditTag(m.epc.hfiGen) {
 		return false

@@ -48,7 +48,8 @@ func (s *State) CheckData(addr uint64, size uint8, write bool) *Fault {
 // and must take the per-access CheckData path.
 //
 // The helper is non-mutating and exists for decision caches (the
-// interpreter's 1-entry data-translation cache): a cached positive decision
+// machine's data-translation cache, shared by the interpreter and the
+// tiered engine's checked loads and stores): a cached positive decision
 // derived from a uniform page stays valid until the State's Gen changes.
 // Implicit regions are contiguous intervals [BasePrefix, BasePrefix+LSBMask]
 // (power-of-two sized and aligned), so overlap tests are interval tests.
@@ -131,7 +132,7 @@ func (s *State) CheckExec(pc uint64) *Fault {
 // whether the code-region decision is uniform across every pc in
 // [page, page+size) — the same first-matching code region (or none) applies
 // to every byte. When uniform, exec carries that region's permission (false
-// if no region matches). Non-mutating; exists for the interpreter's 1-entry
+// if no region matches). Non-mutating; exists for the interpreter's
 // exec-permission cache, whose entries stay valid until Gen changes.
 func (s *State) ExecPageDecision(page, size uint64) (exec, uniform bool) {
 	if !s.Enabled {

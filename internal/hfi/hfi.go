@@ -223,7 +223,7 @@ type State struct {
 	// Gen counts state transitions that can change the outcome of a data
 	// access check: enter/exit/reenter, region writes, xrstor, faults, and
 	// reset. Execution engines that cache access decisions (the
-	// interpreter's 1-entry data-translation cache) tag each cached entry
+	// machine's data-translation cache) tag each cached entry
 	// with the Gen it was derived under and treat any mismatch as a flush,
 	// so no transition can leave a stale positive decision live.
 	// AuditTag is the corresponding cross-audit: a tag ahead of Gen is

@@ -445,3 +445,61 @@ func TestXsavePreservesSwitchOnExitBank(t *testing.T) {
 		t.Fatalf("restored runtime config %+v, want %+v", r.Bank.Cfg, runtimeCfg)
 	}
 }
+
+// TestXrstorRejectsMalformedRegion: an xsave image carrying a data region
+// no setter would accept (base 0x1010 not aligned to its 4 KiB size) must
+// not be installed. Installed, it splits the two definitions of the data
+// check: the interval-based DataPageDecision grants [0x1100, 0x1200)
+// uniformly while the prefix-based CheckData faults every access in it,
+// and the decision caches both engines trust would grant what the check
+// denies. Xrstor must fault bad-config and leave the banks as they were.
+func TestXrstorRejectsMalformedRegion(t *testing.T) {
+	var src State
+	src.Bank.Data[0] = ImplicitRegion{BasePrefix: 0x1010, LSBMask: 0xfff, Read: true, Write: true, Valid: true}
+	src.Bank.Cfg = Config{Hybrid: true}
+	src.Enabled = true
+	img := src.Xsave()
+
+	s := newTestState(t)
+	before := s.Bank
+	f := s.Xrstor(img[:])
+	if f == nil || f.Reason != FaultBadConfig {
+		t.Fatalf("Xrstor of a misaligned region = %v, want a bad-config fault", f)
+	}
+	if s.Bank != before {
+		t.Fatalf("a refused image changed the banks:\nbefore %+v\nafter  %+v", before, s.Bank)
+	}
+	// Whatever state the restore left, every access the page decision
+	// grants uniformly over the window must pass the check.
+	const page, size = 0x1100, 0x100
+	r, w, uniform := s.DataPageDecision(page, size)
+	for addr := uint64(page); addr+8 <= page+size; addr += 8 {
+		for _, write := range []bool{false, true} {
+			if !uniform || !(write && w || !write && r) {
+				continue
+			}
+			if cf := s.CheckData(addr, 8, write); cf != nil {
+				t.Fatalf("DataPageDecision grants %#x (write=%v) but CheckData faults %v", addr, write, cf.Reason)
+			}
+		}
+	}
+}
+
+// TestXrstorMasksPermissions: a restored code region carries only Exec and
+// a restored data region never Exec, as the setters enforce.
+func TestXrstorMasksPermissions(t *testing.T) {
+	var src State
+	src.Bank.Code[0] = ImplicitRegion{BasePrefix: 0x1000, LSBMask: 0xfff, Read: true, Write: true, Exec: true, Valid: true}
+	src.Bank.Data[0] = ImplicitRegion{BasePrefix: 0x100000, LSBMask: 0xffff, Read: true, Exec: true, Valid: true}
+	img := src.Xsave()
+	var s State
+	if f := s.Xrstor(img[:]); f != nil {
+		t.Fatal(f)
+	}
+	if c := s.Bank.Code[0]; c.Read || c.Write || !c.Exec || !c.Valid {
+		t.Fatalf("restored code region %+v, want exec-only", c)
+	}
+	if d := s.Bank.Data[0]; d.Exec || !d.Read || !d.Valid {
+		t.Fatalf("restored data region %+v, want read without exec", d)
+	}
+}

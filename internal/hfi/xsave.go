@@ -89,13 +89,62 @@ func (s *State) Xsave() [XsaveSize]byte {
 // Restoring while a native sandbox is running breaks isolation, so the
 // execution engines trap that case (via PrivilegedAllowed) before calling
 // here.
-func (s *State) Xrstor(buf []byte) {
-	off := decodeBank(&s.Bank, buf)
-	off += decodeBank(&s.saved, buf[off:])
+//
+// Every valid region in the image is programmed through the setters'
+// validation and permission masking, so a restored bank can hold nothing
+// SetCodeRegion/SetDataRegion/SetExplicitRegion would refuse — the page
+// decisions the fast paths trust assume size-aligned regions. A malformed
+// image raises FaultBadConfig (hardware's #GP on a bad xrstor area) and
+// installs nothing.
+func (s *State) Xrstor(buf []byte) *Fault {
+	var bank, saved Bank
+	off := decodeBank(&bank, buf)
+	off += decodeBank(&saved, buf[off:])
+	for _, b := range []*Bank{&bank, &saved} {
+		if addr, err := b.sanitize(); err != nil {
+			return s.fault(FaultBadConfig, addr, false)
+		}
+	}
+	s.Bank, s.saved = bank, saved
 	s.MSR = ExitReason(binary.LittleEndian.Uint32(buf[off:]))
 	off += 8
 	flags := binary.LittleEndian.Uint64(buf[off:])
 	s.Enabled = flags&1 != 0
 	s.savedValid = flags&2 != 0
 	s.Gen++
+	return nil
+}
+
+// sanitize applies the region setters' validation and permission masking
+// to every valid region of a decoded bank. On a malformed region it
+// returns the address the setter would have faulted with.
+func (b *Bank) sanitize() (uint64, error) {
+	for i := range b.Code {
+		r := &b.Code[i]
+		if !r.Valid {
+			continue
+		}
+		if err := r.Validate(); err != nil {
+			return r.BasePrefix, err
+		}
+		r.Read, r.Write = false, false // code regions carry only Exec
+	}
+	for i := range b.Data {
+		r := &b.Data[i]
+		if !r.Valid {
+			continue
+		}
+		if err := r.Validate(); err != nil {
+			return r.BasePrefix, err
+		}
+		r.Exec = false // data regions never grant execute
+	}
+	for i := range b.Expl {
+		if r := &b.Expl[i]; r.Valid {
+			if err := r.Validate(); err != nil {
+				return r.Base, err
+			}
+		}
+	}
+	return 0, nil
 }

@@ -990,7 +990,7 @@ func (s *Server) substrateStage(ent *poolEntry, req Request, sc *stats.Substrate
 	// flipped gate verdict on a cached lowering.
 	if tlbOK {
 		sc.Injected++
-		m.PlantStaleDTC(tlbLive)
+		m.PlantStaleDTC(tlbLive, uint64(seq))
 	}
 	if skewOK {
 		sc.Injected++

@@ -345,7 +345,10 @@ func (k *Kernel) ContextSwitch(old, next *Process, regs *[isa.NumRegs]uint64, pc
 	}
 	*regs = next.Regs
 	*pc = next.PC
-	h.Xrstor(next.HFIState[:])
+	// The image came from Xsave of validated state (or is the zero image of
+	// a fresh process), so it cannot be malformed; were it, Xrstor would
+	// have faulted with HFI disabled and installed nothing.
+	_ = h.Xrstor(next.HFIState[:])
 	if k.TLB != nil {
 		k.TLB.InvalidateAll()
 	}

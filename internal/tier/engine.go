@@ -151,9 +151,10 @@ func (e *Engine) seg(steps uint64, remaining *uint64) (cpu.RunResult, bool) {
 // gate verdicts checked at chain entry hold for the chain's lifetime. It
 // returns the instructions retired (fused blocks cannot take the
 // non-retiring fetch/exec fault paths) and a status: stDone
-// (chain ended at a non-chainable PC), stBail (a window compare failed
-// before any side effect — PC is the unexecuted instruction), or stTerminal
-// (an ExplicitEA fault went unhandled; res is final).
+// (chain ended at a non-chainable PC), stBail (a window compare or a
+// page-decision lookup failed before any side effect — PC is the
+// unexecuted instruction), or stTerminal (an ExplicitEA fault went
+// unhandled; res is final).
 func (e *Engine) runChain(b *Block, budget uint64) (used uint64, res cpu.RunResult, st int) {
 	ip, m, low := e.ip, e.m, e.low
 	regs := &m.Regs
@@ -197,29 +198,39 @@ chain:
 			}
 			regs[f.rd] = v
 
-		case kLoad, kStore:
+		case kLoad, kStore, kLoadChk, kStoreChk:
+			write := f.kind == kStore || f.kind == kStoreChk
 			base := regs[f.rs1]
 			var idx uint64
 			if !f.idxNone {
 				idx = regs[f.rs2]
 			}
 			addr := isa.PlainEA(base, idx, f.scale, f.disp)
-			// Hardening against a bad artifact: the concrete address is
-			// compared against the proven window, and anything outside
-			// bails with zero side effects so the interpreter runs the
-			// full checks.
-			if addr < f.winLo || addr >= f.winHi || uint64(f.size) > f.winHi-addr {
+			if f.kind == kLoad || f.kind == kStore {
+				// Hardening against a bad artifact: the concrete address is
+				// compared against the proven window, and anything outside
+				// bails with zero side effects so the interpreter runs the
+				// full checks.
+				if addr < f.winLo || addr >= f.winHi || uint64(f.size) > f.winHi-addr {
+					n, bres, bst := e.bail(b, f)
+					return used + n, bres, bst
+				}
+				m.FactElisions++
+			} else if !m.DTCHit(addr, f.size, write) {
+				// No proof, and the page-decision cache does not cover and
+				// permit the access: bail with zero side effects so the
+				// interpreter runs CheckData + the MMU check, faulting at
+				// this PC or filling the cache.
 				n, bres, bst := e.bail(b, f)
 				return used + n, bres, bst
 			}
 			if hfiOn {
 				m.HFI.ChecksData++
 			}
-			m.FactElisions++
 			if hook != nil {
-				hook(low.base+uint64(f.src)*isa.InstrBytes, addr, f.size, f.kind == kStore)
+				hook(low.base+uint64(f.src)*isa.InstrBytes, addr, f.size, write)
 			}
-			if f.kind == kStore {
+			if write {
 				m.Mem().Write(addr, f.size, regs[f.rs3])
 				ip.ChargeMemAt(addr, true)
 			} else {
@@ -446,10 +457,6 @@ func (e *Engine) TakeCounters() (admitted, tieredInstrs, interpInstrs uint64) {
 	e.hAdmitted, e.hTiered, e.hInterp = e.admitted, e.tieredInstrs, e.interpInstrs
 	return
 }
-
-// Lowering returns the shared lowering artifact (nil when facts were
-// absent).
-func (e *Engine) Lowering() *Lowered { return e.low }
 
 // HasLowering reports whether the engine carries a lowering at all — the
 // precondition for the LoweringRot chaos seam (there is no gate cache to

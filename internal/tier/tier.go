@@ -5,13 +5,20 @@
 //
 // The lowering is the only run-time consumer of the verifier's proof
 // artifact (verifier.Facts), and spends it once per image instead of per
-// retirement: plain loads and stores fuse only when the verifier proved
-// them resident in a window (the live-machine re-validation is hoisted to
-// a per-generation gate, leaving one bounds compare per access), hld/hst
-// fuse when the region operand is proven well-formed (the HFI bounds
-// check, ExplicitEA, still runs — it is the architectural fault source —
-// while the MMU lookup behind it is elided), and the verifier's NoSideExit
-// block flag is consumed as a cross-check on fully-fused compute blocks.
+// retirement: a plain load or store the verifier proved resident in a
+// window fuses as one bounds compare per access (the live-machine
+// re-validation is hoisted to a per-generation gate); hld/hst fuse when the
+// region operand is proven well-formed (the HFI bounds check, ExplicitEA,
+// still runs — it is the architectural fault source — while the MMU lookup
+// behind it is elided); and the verifier's NoSideExit block flag is
+// consumed as a cross-check on fully-fused compute blocks. A plain load or
+// store without a proof fuses too, as a checked access: it asks the
+// machine's page-decision cache (cpu.Machine.DTCHit, the same lookup the
+// interpreter's fast path makes) and on a hit does exactly what the
+// interpreter does on a hit; on a miss it bails, and the interpreter's
+// full HFI + MMU check faults at that PC or fills the cache. Under guard
+// pages and HFI implicit regions this is the paper's point: the hardware
+// check, not a software one, guards the heap access.
 // Blocks are the CFG's basic blocks, so every branch target in verified
 // code is a block leader and the engine regains control at block
 // granularity.
@@ -25,8 +32,9 @@
 // spelling a cost by hand) and charge memory accesses through the
 // interpreter's own stateful hierarchy accounting, in program order. Any
 // fused operation that cannot complete — an address outside its proven
-// window, an ExplicitEA fault — retires exactly the instructions before
-// it, bills exactly their cost, and hands the interpreter the faulting PC.
+// window, a page-decision cache miss, an ExplicitEA fault — retires
+// exactly the instructions before it, bills exactly their cost, and hands
+// the interpreter the faulting PC.
 package tier
 
 import (
@@ -46,13 +54,15 @@ const (
 	kAddReg
 	kAluImm // generic two-operand ALU with immediate (op in fused.op)
 	kAluReg
-	kLoad   // plain load, window-proven
-	kStore  // plain store, window-proven
-	kHLoad  // explicit-region load, ExplicitEA inline, MMU elided
-	kHStore // explicit-region store
-	kBr     // conditional terminator
-	kJmp    // unconditional terminator
-	kStepBr // pair superinstruction: add-immediate + conditional branch (loop latch)
+	kLoad     // plain load, window-proven
+	kStore    // plain store, window-proven
+	kLoadChk  // plain load, unproven: page-decision cache hit or bail
+	kStoreChk // plain store, unproven: page-decision cache hit or bail
+	kHLoad    // explicit-region load, ExplicitEA inline, MMU elided
+	kHStore   // explicit-region store
+	kBr       // conditional terminator
+	kJmp      // unconditional terminator
+	kStepBr   // pair superinstruction: add-immediate + conditional branch (loop latch)
 )
 
 // fused is one pre-decoded superinstruction operation: operands resolved
@@ -247,14 +257,12 @@ scan:
 			}
 
 		case in.Op == isa.OpLoad || in.Op == isa.OpStore:
-			// Fusable only under a verifier-proven resident window; the
-			// runner's bounds compare against the window replaces the
-			// dynamic page-decision machinery, and anything outside bails
-			// to the interpreter untouched.
-			w := f.Mem[i].Window
-			if f.Bits[i]&verifier.FactResident == 0 || w < 0 || int(w) >= len(f.Windows) {
-				break scan
-			}
+			// Under a verifier-proven resident window the runner's bounds
+			// compare against the window replaces the dynamic page-decision
+			// machinery. Without one the access is checked: the runner asks
+			// the machine's page-decision cache, the interpreter's own fast
+			// path, and a miss bails to the interpreter untouched, which
+			// faults at the exact PC or fills the cache.
 			if in.Rs1 >= isa.NumRegs { // no base register: leave interpreted
 				break scan
 			}
@@ -266,19 +274,29 @@ scan:
 			} else {
 				fo.rs2 = uint8(in.Rs2)
 			}
-			fo.win, fo.winLo, fo.winHi = w, f.Windows[w].Lo, f.Windows[w].Hi
+			w := f.Mem[i].Window
+			proven := f.Bits[i]&verifier.FactResident != 0 && w >= 0 && int(w) < len(f.Windows)
 			if in.Op == isa.OpStore {
 				if in.Rs3 >= isa.NumRegs {
 					break scan
 				}
-				fo.kind, fo.rs3 = kStore, uint8(in.Rs3)
+				fo.kind, fo.rs3 = kStoreChk, uint8(in.Rs3)
+				if proven {
+					fo.kind = kStore
+				}
 			} else {
 				if in.Rd >= isa.NumRegs {
 					break scan
 				}
-				fo.kind, fo.rd, fo.signExt = kLoad, uint8(in.Rd), in.SignExt
+				fo.kind, fo.rd, fo.signExt = kLoadChk, uint8(in.Rd), in.SignExt
+				if proven {
+					fo.kind = kLoad
+				}
 			}
-			addWin(w)
+			if proven {
+				fo.win, fo.winLo, fo.winHi = w, f.Windows[w].Lo, f.Windows[w].Hi
+				addWin(w)
+			}
 			sawMem = true
 
 		case in.Op == isa.OpHLoad || in.Op == isa.OpHStore:
@@ -335,7 +353,7 @@ scan:
 			break scan
 		}
 		switch fo.kind {
-		case kLoad, kStore, kHLoad, kHStore:
+		case kLoad, kStore, kLoadChk, kStoreChk, kHLoad, kHStore:
 			// The dispatch loop bills memory ops solely through chargeMem;
 			// the fused runner does the same via ChargeMemAt, so they carry
 			// no static charge.

@@ -50,12 +50,16 @@
 # mutation packages closes the loop on the analysis code itself; the same
 # pass covers internal/faas, whose concurrent cold-provision test
 # (TestConcurrentColdProvisionBuildsOnce) is the race proof for the image
-# cache's per-key wait, and internal/stats, internal/mem, internal/sandbox
-# and internal/tier, whose allocation gates (TestRecordZeroAllocs,
-# TestRecorderBoundedMemory, TestDigestCostFollowsResidentPages,
-# TestHeapHashZeroAllocs, TestTierHotLoopZeroAllocs — the last also runs
-# the gate derivation every cold engine pays on its first block) measure
-# the process and must not be served from the test cache. Two 10 s fuzz smokes
+# cache's per-key wait, and internal/stats, internal/mem, internal/sandbox,
+# internal/tier and internal/cpu, whose allocation gates
+# (TestRecordZeroAllocs, TestRecorderBoundedMemory,
+# TestDigestCostFollowsResidentPages, TestHeapHashZeroAllocs,
+# TestTierHotLoopZeroAllocs — which also runs the gate derivation every
+# cold engine pays on its first block — TestTierCheckedLoopZeroAllocs and
+# TestInterpHotLoopZeroAllocs) measure the process and must not be served
+# from the test cache. The same pass reruns the checked-op differentials
+# over the shared page-decision cache (TestCheckedOpsFaultMidBlock,
+# TestStaleDTCPlantNeverConsumed, TestDTCSlotsIndependent). Two 10 s fuzz smokes
 # follow: FuzzHistogram, the shard ledger's latency histogram against
 # stats.Percentile on arbitrary float64 streams, and FuzzHeapDigest, the
 # verified-reset digest against a direct content comparison of two sparse
@@ -97,8 +101,8 @@ go run ./cmd/hfiverify -class hostcall
 echo "== hfiverify -facts: analyzer facts + independent audit over the corpus"
 go run ./cmd/hfiverify -facts >/dev/null
 echo "corpus facts audited"
-echo "== go test -race -count=1 (uncached): verifier + mutation + faas + stats + mem + sandbox + tier"
-go test -race -short -count=1 ./internal/verifier ./internal/mutation ./internal/lint ./internal/faas ./internal/stats ./internal/mem ./internal/sandbox ./internal/tier
+echo "== go test -race -count=1 (uncached): verifier + mutation + faas + stats + mem + sandbox + tier + cpu"
+go test -race -short -count=1 ./internal/verifier ./internal/mutation ./internal/lint ./internal/faas ./internal/stats ./internal/mem ./internal/sandbox ./internal/tier ./internal/cpu
 echo "== fuzz smoke: FuzzHistogram, 10 s"
 go test -run '^$' -fuzz=FuzzHistogram -fuzztime=10s ./internal/stats
 echo "== fuzz smoke: FuzzHeapDigest, 10 s"
